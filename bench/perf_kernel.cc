@@ -14,19 +14,15 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/baseline_config.hh"
 #include "core/registry.hh"
 #include "core/scheduler.hh"
-#include "cpu/lockstep.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/const_memory.hh"
 #include "mem/hierarchy.hh"
@@ -316,54 +312,6 @@ BM_TraceViewRun(benchmark::State &state)
 }
 BENCHMARK(BM_TraceViewRun);
 
-// --- Lockstep multi-variant execution: V cores, one trace pass. ---
-//
-// BM_LockstepVariants/V advances V independent baseline cores over
-// the same 200k-record trace in one LockstepGroup::run() pass — one
-// block loop, V state machines per block. items_per_second counts
-// instructions across all V members, so dividing by BM_TraceViewRun's
-// items_per_second gives the lockstep throughput gain over V
-// independent passes (the locality win of touching each trace block
-// once while it is hot in cache). V=1 is the degenerate group; the
-// sweep path uses it only when a group has a single pending variant.
-
-void
-BM_LockstepVariants(benchmark::State &state)
-{
-    const TraceWindow window{0, 200'000};
-    const MaterializedTrace trace =
-        materialize(specProgram("crafty"), window);
-    const BaselineConfig cfg = makeBaseline();
-    const auto variants = static_cast<std::size_t>(state.range(0));
-    bool counted = false;
-    for (auto _ : state) {
-        // deque, not vector: Hierarchy is pinned (caches hold
-        // pointers into it), and deque growth never relocates.
-        std::deque<Hierarchy> hiers;
-        std::deque<OoOCore> cores;
-        LockstepGroup group;
-        for (std::size_t v = 0; v < variants; ++v) {
-            hiers.emplace_back(cfg.hier, trace.image);
-            cores.emplace_back(cfg.core);
-            group.add(cores.back(), hiers.back());
-        }
-        // run_allocs counts heap activity of one full lockstep pass
-        // (setup excluded): the block loop must stay allocation-free
-        // for any group size — CI asserts this reads 0.
-        const std::uint64_t before = t_alloc_count;
-        group.run(trace.view());
-        if (!counted) {
-            state.counters["run_allocs"] =
-                static_cast<double>(t_alloc_count - before);
-            counted = true;
-        }
-        benchmark::DoNotOptimize(group.result(variants - 1));
-    }
-    state.SetItemsProcessed(state.iterations() * window.length *
-                            variants);
-}
-BENCHMARK(BM_LockstepVariants)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // --- Trace arena: cold generation vs warm mmap'd load. ---
 //
 // BM_TraceArenaColdWarm/0 materializes a 200k-record window from
@@ -425,15 +373,10 @@ BM_TraceArenaColdWarm(benchmark::State &state)
 }
 BENCHMARK(BM_TraceArenaColdWarm)->Arg(0)->Arg(1);
 
-// --- Matrix scheduling: per-benchmark barrier vs the engine. ---
+// --- Matrix scheduling: the engine over a small matrix. ---
 //
-// The two benchmarks below sweep the same small matrix. The first
-// reproduces the pre-engine runMatrix(): materialize one benchmark,
-// spawn a thread team over the mechanisms, join (a full barrier),
-// repeat. The second uses the ExperimentEngine's single work queue
-// and persistent pool. On a multi-core host the barrier version
-// leaves workers idle at the tail of every benchmark; the engine
-// version does not.
+// One ExperimentEngine work queue and persistent pool over a
+// 4 x 4 matrix of 100k-instruction windows, at 1, 4 and 8 workers.
 
 const std::vector<std::string> matrix_mechs = {"Base", "TP", "SP",
                                                "GHB"};
@@ -450,65 +393,13 @@ matrixConfig()
     return cfg;
 }
 
-/** The old runMatrix() loop: fresh team + barrier per benchmark. */
-MatrixResult
-runMatrixBarrier(const std::vector<std::string> &mechanisms,
-                 const std::vector<std::string> &benchmarks,
-                 const RunConfig &cfg, unsigned threads)
-{
-    MatrixResult res;
-    res.mechanisms = mechanisms;
-    res.benchmarks = benchmarks;
-    res.ipc.assign(mechanisms.size(),
-                   std::vector<double>(benchmarks.size(), 0.0));
-    res.outputs.assign(mechanisms.size(),
-                       std::vector<RunOutput>(benchmarks.size()));
-    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        const MaterializedTrace trace =
-            materializeFor(benchmarks[b], cfg);
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t m =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (m >= mechanisms.size())
-                    return;
-                RunOutput out = runOne(trace, mechanisms[m], cfg);
-                res.ipc[m][b] = out.core.ipc;
-                res.outputs[m][b] = std::move(out);
-            }
-        };
-        std::vector<std::thread> team;
-        for (unsigned t = 1; t < threads; ++t)
-            team.emplace_back(worker);
-        worker();
-        for (auto &t : team)
-            t.join();
-    }
-    return res;
-}
-
-void
-BM_MatrixBarrier(benchmark::State &state)
-{
-    const RunConfig cfg = matrixConfig();
-    const auto threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runMatrixBarrier(
-            matrix_mechs, matrix_benchs, cfg, threads));
-    state.SetItemsProcessed(state.iterations() * matrix_mechs.size() *
-                            matrix_benchs.size());
-}
-BENCHMARK(BM_MatrixBarrier)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_MatrixEngine(benchmark::State &state)
 {
     const RunConfig cfg = matrixConfig();
     EngineOptions opts;
     opts.threads = static_cast<unsigned>(state.range(0));
-    opts.keep_traces = false; // same memory profile as the barrier
+    opts.keep_traces = false; // drop each trace after its last run
     ExperimentEngine engine(opts);
     for (auto _ : state)
         benchmark::DoNotOptimize(

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/scheduler.hh"
-#include "cpu/lockstep.hh"
 #include "sim/logging.hh"
 #include "trace/spec_suite.hh"
 #include "trace/trace_cache.hh"
@@ -85,50 +84,6 @@ runOne(const MaterializedTrace &trace, const std::string &mechanism,
 
     stats.snapshot(out.stats);
     return out;
-}
-
-std::vector<RunOutput>
-runLockstep(const MaterializedTrace &trace,
-            const std::string &mechanism,
-            const std::vector<const RunConfig *> &cfgs)
-{
-    const std::size_t V = cfgs.size();
-    std::vector<RunOutput> outs(V);
-    // Per-member model state, set up exactly as runOne() does it so
-    // the two paths cannot diverge: hierarchy, mechanism, stats
-    // registration, then the core.
-    std::vector<std::unique_ptr<Hierarchy>> hiers(V);
-    std::vector<std::unique_ptr<CacheMechanism>> mechs(V);
-    std::vector<std::unique_ptr<OoOCore>> cores(V);
-    std::vector<StatSet> stats(V);
-    LockstepGroup group;
-    for (std::size_t v = 0; v < V; ++v) {
-        const RunConfig &cfg = *cfgs[v];
-        RunOutput &out = outs[v];
-        out.benchmark = trace.benchmark;
-        out.mechanism = mechanism;
-
-        hiers[v] =
-            std::make_unique<Hierarchy>(cfg.system.hier, trace.image);
-        mechs[v] = makeMechanism(mechanism, cfg.mech);
-        hiers[v]->registerStats(stats[v]);
-        if (mechs[v]) {
-            mechs[v]->bind(*hiers[v]);
-            mechs[v]->registerStats(stats[v]);
-            hiers[v]->setClient(mechs[v].get());
-            out.hardware = mechs[v]->hardware();
-        }
-        cores[v] = std::make_unique<OoOCore>(cfg.system.core);
-        group.add(*cores[v], *hiers[v]);
-    }
-
-    group.run(trace.view());
-
-    for (std::size_t v = 0; v < V; ++v) {
-        outs[v].core = group.result(v);
-        stats[v].snapshot(outs[v].stats);
-    }
-    return outs;
 }
 
 void

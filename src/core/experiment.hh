@@ -83,19 +83,6 @@ MaterializedTrace materializeFor(const std::string &benchmark,
 RunOutput runOne(const MaterializedTrace &trace,
                  const std::string &mechanism, const RunConfig &cfg);
 
-/**
- * Run V config variants of @p mechanism over @p trace in lockstep:
- * one SoA trace pass, V independent (hierarchy, mechanism, core)
- * instances advanced per block (cpu/lockstep.hh). Outputs are in
- * @p cfgs order and bit-identical — every CoreResult and stat — to V
- * separate runOne() calls; the per-variant path is the oracle
- * (tests/test_lockstep.cc). The configs may differ in anything that
- * leaves the trace window untouched (callers group by trace slot).
- */
-std::vector<RunOutput>
-runLockstep(const MaterializedTrace &trace, const std::string &mechanism,
-            const std::vector<const RunConfig *> &cfgs);
-
 /** IPCs (and outputs) for mechanisms x benchmarks. */
 struct MatrixResult
 {

@@ -64,7 +64,6 @@ runShardWorker(const TaskPlan &plan, const std::vector<char> &done,
         opts.keep_traces = parent_ctx.opts.keep_traces;
         opts.verbose = parent_ctx.opts.verbose;
         opts.trace_budget_bytes = parent_ctx.opts.trace_budget_bytes;
-        opts.lockstep = parent_ctx.opts.lockstep;
         // All shard workers share the parent's arena directory: the
         // first worker to need a window publishes it, every sibling
         // (and every later run) mmaps that one copy.

@@ -40,8 +40,13 @@ ProgressEvent::escape(const std::string &s)
 }
 
 ProgressEvent::ProgressEvent(const std::string &name)
+    : ProgressEvent("event", name)
 {
-    _os << "{\"event\":\"" << escape(name) << '"';
+}
+
+ProgressEvent::ProgressEvent(const char *key, const std::string &name)
+{
+    _os << "{\"" << key << "\":\"" << escape(name) << '"';
 }
 
 ProgressEvent &
@@ -72,6 +77,20 @@ ProgressEvent::field(const char *key, double value)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.3f", value);
     _os << ",\"" << key << "\":" << buf;
+    return *this;
+}
+
+ProgressEvent &
+ProgressEvent::field(const char *key,
+                     const std::vector<std::size_t> &values)
+{
+    _os << ",\"" << key << "\":[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i)
+            _os << ',';
+        _os << values[i];
+    }
+    _os << ']';
     return *this;
 }
 

@@ -48,20 +48,34 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace microlib
 {
 
-/** Builder for one progress line: {"event":"<name>", fields...}. */
+/**
+ * Builder for one JSON line: {"<key>":"<name>", fields...}. The one
+ * line builder of the project: progress events lead with "event",
+ * and the sweep service's wire protocol (service/protocol.hh) uses
+ * the same builder with "cmd" for requests and "reply" for
+ * responses, so a relayed progress line and a protocol line never
+ * disagree about escaping.
+ */
 class ProgressEvent
 {
   public:
+    /** A progress event: {"event":"<name>", ...}. */
     explicit ProgressEvent(const std::string &name);
+    /** A line led by @p key ("event", "cmd" or "reply"). */
+    ProgressEvent(const char *key, const std::string &name);
 
     ProgressEvent &field(const char *key, const std::string &value);
     ProgressEvent &field(const char *key, const char *value);
     ProgressEvent &field(const char *key, std::uint64_t value);
     ProgressEvent &field(const char *key, double value);
+    /** "key":[1,2,3] — task-index lists. */
+    ProgressEvent &field(const char *key,
+                         const std::vector<std::size_t> &values);
 
     /** The complete JSON object, closing brace included. */
     std::string str() const;

@@ -45,23 +45,6 @@ resolveTraceDir(const EngineOptions &opts)
     return (env && *env) ? std::string(env) : std::string();
 }
 
-/** Effective lockstep toggle: MICROLIB_LOCKSTEP (0/1) wins over the
- *  option, so CLI runs can flip the path without a flag. */
-bool
-resolveLockstep(const EngineOptions &opts)
-{
-    const char *env = std::getenv("MICROLIB_LOCKSTEP");
-    if (!env || !*env)
-        return opts.lockstep;
-    const std::string v(env);
-    if (v == "0")
-        return false;
-    if (v == "1")
-        return true;
-    warn("ignoring malformed MICROLIB_LOCKSTEP=", v, " (want 0 or 1)");
-    return opts.lockstep;
-}
-
 } // namespace
 
 ExperimentEngine::ExperimentEngine(EngineOptions opts)
@@ -74,7 +57,6 @@ ExperimentEngine::ExperimentEngine(EngineOptions opts)
     if (_opts.shard.index >= _opts.shard.count)
         fatal("EngineOptions::shard.index ", _opts.shard.index,
               " out of range for ", _opts.shard.count, " shard(s)");
-    _opts.lockstep = resolveLockstep(opts);
     _cache.setByteBudget(resolveTraceBudget(_opts));
     _opts.trace_dir = resolveTraceDir(opts);
     if (!_opts.trace_dir.empty())
@@ -208,9 +190,6 @@ ExperimentEngine::runPlan(const TaskPlan &plan)
             plan.pendingTasks(done, _opts.shard).size();
         progress.write(ProgressEvent("plan")
                            .field("backend", backend->name())
-                           .field("lockstep",
-                                  static_cast<std::uint64_t>(
-                                      _opts.lockstep ? 1 : 0))
                            .field("shard", _opts.shard.str())
                            .field("total", plan.size())
                            .field("pending", pending)

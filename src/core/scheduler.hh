@@ -147,19 +147,6 @@ struct EngineOptions
     /** First worker-restart delay in seconds; doubles per
      *  consecutive retry of the same shard (capped internally). */
     double worker_backoff_s = 0.25;
-
-    /**
-     * Advance the config variants of each (benchmark-window,
-     * mechanism) group in lockstep over a single trace pass — one
-     * decode, V state machines per block (cpu/lockstep.hh) — instead
-     * of re-streaming the trace once per variant. On by default;
-     * results are bit-identical either way, and the off path (each
-     * task simulated alone, today's loop) is the correctness oracle.
-     * The MICROLIB_LOCKSTEP environment variable (0 = off, 1 = on)
-     * overrides this option, so CLI sweeps can cross-check both
-     * paths without a flag — CI byte-diffs the two.
-     */
-    bool lockstep = true;
 };
 
 /** Where a fulfilled trace came from (progress telemetry: the warm-

@@ -93,7 +93,7 @@ ServiceBackend::execute(const TaskPlan &plan,
 
     std::string reply = exchange(
         sock,
-        ProtocolMsg("cmd", "submit").field("spec", text).str(),
+        ProgressEvent("cmd", "submit").field("spec", text).str(),
         "submit");
     requireOk(reply, "submit");
     std::string job_id, state;
@@ -110,7 +110,7 @@ ServiceBackend::execute(const TaskPlan &plan,
         std::this_thread::sleep_for(
             std::chrono::duration<double>(_poll_s));
         reply = exchange(sock,
-                         ProtocolMsg("cmd", "status")
+                         ProgressEvent("cmd", "status")
                              .field("job", job_id)
                              .str(),
                          "status");
@@ -121,7 +121,7 @@ ServiceBackend::execute(const TaskPlan &plan,
     }
 
     reply = exchange(sock,
-                     ProtocolMsg("cmd", "result")
+                     ProgressEvent("cmd", "result")
                          .field("job", job_id)
                          .str(),
                      "result");

@@ -203,6 +203,11 @@ class TaskPlan
      * the union of all groups is exactly pendingTasks(). A
      * variant whose settings move the window lands in a different
      * slot and therefore in its own group.
+     *
+     * Off the sweep path: ThreadPoolBackend schedules single tasks.
+     * Kept only for the sweep benchmark's traced replay
+     * (sweepbench/traced.cc), which times LockstepGroup against
+     * per-task runs; removable once that metric goes.
      */
     std::vector<std::vector<std::size_t>>
     lockstepGroups(const std::vector<char> &done,

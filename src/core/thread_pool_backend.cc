@@ -25,23 +25,23 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** A group whose trace another worker is still materializing. */
-struct DeferredGroup
+/** A task whose trace another worker is still materializing. */
+struct DeferredTask
 {
-    std::size_t group = 0; ///< index into State::groups
+    std::size_t task = 0; ///< plan index of the pending task
     TraceCache::Future future;
 };
 
 } // namespace
 
 /**
- * Shared scheduling state for one execute(). The group list follows
- * the plan's canonical order (first pending member's index), so one
- * benchmark's groups stay contiguous and its trace can be released
- * soon after its block drains. Pipelining across benchmarks still
- * happens: workers that find a trace in flight defer those groups (a
- * mutex-bump per group, no simulation work) and fall through to the
- * next benchmark's block, whose trace they materialize concurrently.
+ * Shared scheduling state for one execute(). The pending list
+ * follows the plan's canonical order, so one benchmark's tasks stay
+ * contiguous and its trace can be released soon after its block
+ * drains. Pipelining across benchmarks still happens: workers that
+ * find a trace in flight defer those tasks (a mutex-bump per task,
+ * no simulation work) and fall through to the next benchmark's
+ * block, whose trace they materialize concurrently.
  */
 struct ThreadPoolBackend::State
 {
@@ -49,14 +49,8 @@ struct ThreadPoolBackend::State
     const ExecutionContext &ctx;
     SweepResult &res;
 
-    /** Scheduling units, each a list of plan task indices sharing
-     *  (trace slot, mechanism): the plan's lockstep groups, or one
-     *  singleton per pending task when lockstep is off. Their union
-     *  is exactly this process's pending tasks, in plan order. */
-    std::vector<std::vector<std::size_t>> groups;
-    /** Total pending member tasks (progress/ETA stay in task units,
-     *  one event per member, whatever the grouping). */
-    std::size_t pending_count = 0;
+    /** This process's pending tasks (plan indices), in plan order. */
+    std::vector<std::size_t> pending;
     /** Unfinished pending tasks per trace slot: the plan-aware trace
      *  refcount (resumed and out-of-shard tasks never count, and
      *  variants sharing a window share the slot). */
@@ -72,8 +66,8 @@ struct ThreadPoolBackend::State
     Clock::time_point start = Clock::now();
 
     std::mutex mu;
-    std::size_t next = 0;              ///< cursor into `groups`
-    std::deque<DeferredGroup> deferred; ///< groups awaiting their trace
+    std::size_t next = 0;              ///< cursor into `pending`
+    std::deque<DeferredTask> deferred; ///< tasks awaiting their trace
     std::size_t done_count = 0;        ///< finished tasks (progress)
     std::exception_ptr error;          ///< first failure, if any
 
@@ -81,21 +75,11 @@ struct ThreadPoolBackend::State
           const ExecutionContext &c, SweepResult &r,
           std::size_t resumed_count)
         : plan(p), ctx(c), res(r),
+          pending(p.pendingTasks(done_mask, c.opts.shard)),
           remaining(p.pendingPerTraceSlot(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
           bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
     {
-        if (c.opts.lockstep) {
-            groups = p.lockstepGroups(done_mask, c.opts.shard);
-        } else {
-            // Oracle path: every task is its own unit — exactly the
-            // pre-lockstep per-variant drain loop.
-            for (const std::size_t i :
-                 p.pendingTasks(done_mask, c.opts.shard))
-                groups.push_back({i});
-        }
-        for (const auto &g : groups)
-            pending_count += g.size();
     }
 };
 
@@ -107,7 +91,7 @@ ThreadPoolBackend::drain(State &st)
     const EngineOptions &opts = st.ctx.opts;
 
     for (;;) {
-        std::size_t gi = 0;
+        std::size_t flat = 0;
         TraceCache::Future deferred_fut;
         bool have = false;
         bool must_wait = false;
@@ -115,13 +99,13 @@ ThreadPoolBackend::drain(State &st)
             std::unique_lock<std::mutex> lock(st.mu);
             if (st.error)
                 return; // a sibling failed: stop picking up work
-            // Deferred groups whose trace has landed come first:
+            // Deferred tasks whose trace has landed come first:
             // their benchmark is fully paid for.
             for (auto it = st.deferred.begin();
                  it != st.deferred.end(); ++it) {
                 if (it->future.wait_for(std::chrono::seconds(0)) ==
                     std::future_status::ready) {
-                    gi = it->group;
+                    flat = it->task;
                     deferred_fut = it->future;
                     st.deferred.erase(it);
                     have = true;
@@ -129,13 +113,13 @@ ThreadPoolBackend::drain(State &st)
                     break;
                 }
             }
-            if (!have && st.next < st.groups.size()) {
-                gi = st.next++;
+            if (!have && st.next < st.pending.size()) {
+                flat = st.pending[st.next++];
                 have = true;
             }
             if (!have && !st.deferred.empty()) {
                 // Nothing else to steal: block on a pending trace.
-                gi = st.deferred.front().group;
+                flat = st.deferred.front().task;
                 deferred_fut = st.deferred.front().future;
                 st.deferred.pop_front();
                 have = true;
@@ -145,17 +129,15 @@ ThreadPoolBackend::drain(State &st)
                 return;
         }
 
-        // Every member of a group shares (benchmark, window, mech):
-        // one trace claim, one simulation pass, per-member results.
-        const std::vector<std::size_t> &group = st.groups[gi];
-        const PlanTask &first = st.plan.task(group.front());
-        const std::size_t slot = st.plan.traceSlot(group.front());
+        const PlanTask &task = st.plan.task(flat);
+        const std::size_t slot = st.plan.traceSlot(flat);
         const std::string &key = st.plan.slotKey(slot);
-        const std::string &benchmark = st.plan.benchmarks()[first.b];
-        const std::string &mechanism = st.plan.mechanisms()[first.m];
+        const std::string &benchmark = st.plan.benchmarks()[task.b];
+        const std::string &mechanism = st.plan.mechanisms()[task.m];
+        const RunConfig &cfg = st.plan.config(task.v);
         TraceCache::TracePtr trace;
         if (must_wait) {
-            // Deferred groups keep the future from their original
+            // Deferred tasks keep the future from their original
             // claim: even if the owner failed and the cache entry
             // was dropped for retry, this surfaces that error
             // instead of panicking on a missing key.
@@ -166,8 +148,7 @@ ThreadPoolBackend::drain(State &st)
               case TraceCache::Claim::Owner: {
                 TraceOrigin origin = TraceOrigin::Generated;
                 trace = ExperimentEngine::materializeInto(
-                    cache, key, benchmark, st.plan.config(first.v),
-                    &origin);
+                    cache, key, benchmark, cfg, &origin);
                 // One event per owner-side materialization: a fully
                 // warm arena run contains zero src=gen trace events
                 // (the cold-vs-warm CI smoke greps for exactly that).
@@ -190,133 +171,96 @@ ThreadPoolBackend::drain(State &st)
                 // Someone else is materializing: steal unrelated
                 // work instead of idling on the future.
                 std::unique_lock<std::mutex> lock(st.mu);
-                st.deferred.push_back({gi, std::move(fut)});
+                st.deferred.push_back({flat, std::move(fut)});
                 continue;
             }
         }
 
-        // Liveness + fault injection, per member, before any
-        // simulation work: the heartbeat names the flat task index
-        // about to run (flushed per line), so if this process now
-        // dies or wedges — for real or because an armed FaultClause
-        // fires at exactly this index — a supervising parent's last
-        // heartbeat blames the right task.
-        FaultInjector &injector = FaultInjector::instance();
-        for (const std::size_t flat : group) {
-            if (st.ctx.progress)
-                st.ctx.progress->write(
-                    ProgressEvent("heartbeat")
-                        .field("task", st.plan.task(flat).index)
-                        .field("bench", benchmark)
-                        .field("mech", mechanism)
-                        .field("elapsed_s", secondsSince(st.start)));
-            if (injector.armed())
-                injector.checkpoint(st.plan.task(flat).index);
-        }
-
-        // Simulate: one lockstep pass over the shared trace for a
-        // multi-variant group, the classic single run otherwise.
-        std::vector<RunOutput> outs;
-        if (group.size() == 1) {
-            outs.push_back(runOne(*trace, mechanism,
-                                  st.plan.config(first.v)));
-        } else {
-            std::vector<const RunConfig *> cfgs;
-            cfgs.reserve(group.size());
-            for (const std::size_t flat : group)
-                cfgs.push_back(&st.plan.config(st.plan.task(flat).v));
-            outs = runLockstep(*trace, mechanism, cfgs);
-        }
-
-        // The member variant list, carried by each member's progress
-        // event so stream consumers can attribute lockstep batches.
-        std::string members;
-        if (group.size() > 1) {
-            for (const std::size_t flat : group) {
-                if (!members.empty())
-                    members += ',';
-                members += st.plan.variantName(st.plan.task(flat).v);
-            }
-        }
-
-        for (std::size_t g = 0; g < group.size(); ++g) {
-            const std::size_t flat = group[g];
-            const PlanTask &task = st.plan.task(flat);
-            RunOutput &out = outs[g];
-            if (opts.store) {
-                // Persist before publishing: a sweep killed after
-                // this point resumes past this run. put() flushes, so
-                // the record survives even an abrupt exit.
-                opts.store->put(
-                    makeRecord(st.plan.resultKey(flat), out));
-            }
-            // Each task owns its (m, b, v) slot exclusively: no lock
-            // needed, and the result is identical for any worker
-            // count.
-            MatrixResult &matrix = st.res.matrix(task.v);
-            matrix.ipc[task.m][task.b] = out.core.ipc;
-            matrix.outputs[task.m][task.b] = std::move(out);
-
-            std::size_t done_now = 0;
-            std::size_t bench_done_now = 0;
-            bool last_of_slot = false;
-            {
-                std::unique_lock<std::mutex> lock(st.mu);
-                done_now = ++st.done_count;
-                bench_done_now = ++st.bench_done[task.b];
-                last_of_slot = --st.remaining[slot] == 0;
-            }
-            if (last_of_slot) {
-                // No pending task references this trace anymore:
-                // release it for byte-budget eviction, or drop it
-                // outright in one-shot (keep_traces=false) mode.
-                cache.unpin(key);
-                if (!opts.keep_traces)
-                    cache.evict(key);
-            }
-            if (st.ctx.progress) {
-                const double elapsed = secondsSince(st.start);
-                const double eta =
-                    elapsed *
-                    static_cast<double>(st.pending_count - done_now) /
-                    static_cast<double>(done_now);
-                // All counters are in this process's task units (its
-                // shard's pending tasks, one event per member), so a
-                // finished shard always reports done == pending and
-                // bench_done == bench_total whatever the grouping.
-                ProgressEvent ev("run");
-                ev.field("bench", benchmark)
+        // Liveness + fault injection, immediately before the task
+        // simulates: the heartbeat names the flat task index about
+        // to run (flushed per line), so if this process now dies or
+        // wedges — for real or because an armed FaultClause fires at
+        // exactly this index — a supervising parent's last heartbeat
+        // blames the right task.
+        if (st.ctx.progress)
+            st.ctx.progress->write(
+                ProgressEvent("heartbeat")
+                    .field("task", task.index)
+                    .field("bench", benchmark)
                     .field("mech", mechanism)
-                    .field("variant", st.plan.variantName(task.v));
-                if (!members.empty())
-                    ev.field("group", members);
-                ev.field("task", task.index)
+                    .field("elapsed_s", secondsSince(st.start)));
+        FaultInjector &injector = FaultInjector::instance();
+        if (injector.armed())
+            injector.checkpoint(task.index);
+
+        RunOutput out = runOne(*trace, mechanism, cfg);
+        if (opts.store) {
+            // Persist before publishing: a sweep killed after this
+            // point resumes past this run. put() flushes, so the
+            // record survives even an abrupt exit.
+            opts.store->put(makeRecord(st.plan.resultKey(flat), out));
+        }
+        // Each task owns its (m, b, v) slot exclusively: no lock
+        // needed, and the result is identical for any worker count.
+        MatrixResult &matrix = st.res.matrix(task.v);
+        matrix.ipc[task.m][task.b] = out.core.ipc;
+        matrix.outputs[task.m][task.b] = std::move(out);
+
+        std::size_t done_now = 0;
+        std::size_t bench_done_now = 0;
+        bool last_of_slot = false;
+        {
+            std::unique_lock<std::mutex> lock(st.mu);
+            done_now = ++st.done_count;
+            bench_done_now = ++st.bench_done[task.b];
+            last_of_slot = --st.remaining[slot] == 0;
+        }
+        if (last_of_slot) {
+            // No pending task references this trace anymore: release
+            // it for byte-budget eviction, or drop it outright in
+            // one-shot (keep_traces=false) mode.
+            cache.unpin(key);
+            if (!opts.keep_traces)
+                cache.evict(key);
+        }
+        if (st.ctx.progress) {
+            const double elapsed = secondsSince(st.start);
+            const double eta =
+                elapsed *
+                static_cast<double>(st.pending.size() - done_now) /
+                static_cast<double>(done_now);
+            // All counters are in this process's task units (its
+            // shard's pending tasks), so a finished shard always
+            // reports done == pending and bench_done == bench_total.
+            st.ctx.progress->write(
+                ProgressEvent("run")
+                    .field("bench", benchmark)
+                    .field("mech", mechanism)
+                    .field("variant", st.plan.variantName(task.v))
+                    .field("task", task.index)
                     .field("bench_done", bench_done_now)
                     .field("bench_total", st.bench_total[task.b])
                     .field("done", done_now)
-                    .field("pending", st.pending_count)
+                    .field("pending", st.pending.size())
                     .field("resumed", st.resumed)
                     .field("total", st.plan.size())
                     .field("elapsed_s", elapsed)
-                    .field("eta_s", eta);
-                st.ctx.progress->write(ev);
-                if (bench_done_now == st.bench_total[task.b])
-                    st.ctx.progress->write(
-                        ProgressEvent("bench")
-                            .field("bench", benchmark)
-                            .field("done", bench_done_now)
-                            .field("total", st.bench_total[task.b])
-                            .field("elapsed_s", elapsed));
-            }
-            if (opts.verbose)
-                inform("[", done_now + st.resumed, "/",
-                       st.plan.size(), "] ", benchmark, " / ",
-                       mechanism,
-                       st.plan.variantCount() > 1
-                           ? " / " + st.plan.variantName(task.v)
-                           : "",
-                       ": IPC ", matrix.ipc[task.m][task.b]);
+                    .field("eta_s", eta));
+            if (bench_done_now == st.bench_total[task.b])
+                st.ctx.progress->write(
+                    ProgressEvent("bench")
+                        .field("bench", benchmark)
+                        .field("done", bench_done_now)
+                        .field("total", st.bench_total[task.b])
+                        .field("elapsed_s", elapsed));
         }
+        if (opts.verbose)
+            inform("[", done_now + st.resumed, "/", st.plan.size(),
+                   "] ", benchmark, " / ", mechanism,
+                   st.plan.variantCount() > 1
+                       ? " / " + st.plan.variantName(task.v)
+                       : "",
+                   ": IPC ", matrix.ipc[task.m][task.b]);
     }
 }
 
@@ -335,7 +279,7 @@ ThreadPoolBackend::execute(const TaskPlan &plan,
     State st(plan, done, ctx, res, counters.resumed);
     // Skipped-by-shard = pending anywhere minus pending here.
     counters.skipped =
-        plan.pendingTasks(done, ShardSpec{}).size() - st.pending_count;
+        plan.pendingTasks(done, ShardSpec{}).size() - st.pending.size();
 
     TraceCache &cache = ctx.engine.cache();
     // Pin every trace slot this process will materialize: the byte

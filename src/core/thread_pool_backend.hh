@@ -4,22 +4,18 @@
  *
  * Drains a TaskPlan's pending tasks (optionally restricted to one
  * ShardSpec) on the owning engine's persistent worker pool. The
- * scheduling unit is a *lockstep group* — the pending config variants
- * of one (benchmark-window, mechanism), advanced over a single shared
- * trace pass (cpu/lockstep.hh) when EngineOptions::lockstep is on,
- * or a single task each when it is off (the oracle path):
+ * scheduling unit is one pending task, taken in plan order:
  *
  *  - the first worker to need a benchmark's trace becomes its owner
  *    and materializes it once into the engine's TraceCache;
  *  - workers that hit a trace still being materialized defer that
- *    group and steal unrelated work instead of blocking;
+ *    task and steal unrelated work instead of blocking;
  *  - only when no other work exists does a worker wait on a trace's
  *    shared_future.
  *
- * Results, persistence, progress counters and trace refcounts stay
- * per *task* (per group member): each member is persisted and
- * published into its own pre-assigned slot the moment its group
- * finishes, one `run` progress event per member.
+ * Each task is persisted and published into its own pre-assigned
+ * slot the moment it finishes, with one `run` progress event; its
+ * heartbeat goes out immediately before it simulates.
  *
  * Trace refcounts are plan-aware and counted per *trace slot* — the
  * plan's unique (benchmark, window) pairs, so config variants that

@@ -21,6 +21,13 @@
  * path is the oracle, asserted by tests/test_lockstep.cc. run() is
  * allocation-free in steady state; the member table is sized by
  * add() at setup time.
+ *
+ * Retired from the sweep path: measured end to end, lockstep gave no
+ * wall-time gain and held more memory than simulating each task
+ * alone (docs/ARCHITECTURE.md), so the engine runs one task at a
+ * time. The class is kept only because the sweep benchmark
+ * (sweepbench/traced.cc) times it as its measured alternative
+ * (cpu.lockstep_gain); it can go when that metric does.
  */
 
 #ifndef MICROLIB_CPU_LOCKSTEP_HH
@@ -36,7 +43,8 @@ namespace microlib
 
 class Hierarchy;
 
-/** V simulations advanced per block over one shared trace pass. */
+/** V simulations advanced per block over one shared trace pass. Off
+ *  the sweep path; kept only for sweepbench (see the file comment). */
 class LockstepGroup
 {
   public:

@@ -58,7 +58,7 @@ JobTable::find(const std::string &id)
 }
 
 void
-JobTable::erase(const std::string &id)
+JobTable::erase(std::string id)
 {
     _jobs.erase(id);
     for (auto it = _order.begin(); it != _order.end(); ++it) {

@@ -95,8 +95,10 @@ class JobTable
     ServiceJob *find(const std::string &id);
 
     /** Drop the job named @p id (a read-only daemon refusing an
-     *  unexecutable submit). No-op if absent. */
-    void erase(const std::string &id);
+     *  unexecutable submit). No-op if absent. Takes the id by value:
+     *  callers pass the job's own `id` member, which dies with the
+     *  job before the order list is searched. */
+    void erase(std::string id);
 
     /** Oldest running job with pending (leasable) tasks, or nullptr
      *  — the lease source; oldest-first keeps job latency fair. */

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "core/progress.hh"
-
 namespace microlib
 {
 
@@ -88,53 +86,6 @@ unescapeFrom(const std::string &line, std::size_t at, std::string &out)
 }
 
 } // namespace
-
-ProtocolMsg::ProtocolMsg(const char *kind, const std::string &name)
-{
-    _os << "{\"" << kind << "\":\"" << ProgressEvent::escape(name)
-        << '"';
-}
-
-ProtocolMsg &
-ProtocolMsg::field(const char *key, const std::string &value)
-{
-    _os << ",\"" << key << "\":\"" << ProgressEvent::escape(value)
-        << '"';
-    return *this;
-}
-
-ProtocolMsg &
-ProtocolMsg::field(const char *key, const char *value)
-{
-    return field(key, std::string(value));
-}
-
-ProtocolMsg &
-ProtocolMsg::field(const char *key, std::uint64_t value)
-{
-    _os << ",\"" << key << "\":" << value;
-    return *this;
-}
-
-ProtocolMsg &
-ProtocolMsg::field(const char *key,
-                   const std::vector<std::size_t> &values)
-{
-    _os << ",\"" << key << "\":[";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            _os << ',';
-        _os << values[i];
-    }
-    _os << ']';
-    return *this;
-}
-
-std::string
-ProtocolMsg::str() const
-{
-    return _os.str() + "}";
-}
 
 bool
 protocolKind(const std::string &line, const std::string &key,

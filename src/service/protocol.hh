@@ -13,13 +13,14 @@
  * The full grammar lives in docs/SWEEP_SERVICE.md. This header is
  * NOT a JSON library: it is exactly the subset the protocol needs —
  * flat objects whose values are strings, unsigned integers, or
- * arrays of unsigned integers — built and read with the same
- * escaping rules as the progress stream (ProgressEvent::escape), so
- * a relayed progress line and a protocol line never disagree about
- * what a byte means. Messages are extracted by key, not position:
- * readers ignore keys they do not know, so the protocol is
- * forward-extensible without a version dance (the schema tuple in
- * the worker hello covers the parts that must match exactly).
+ * arrays of unsigned integers. Lines are built by the progress
+ * stream's builder (ProgressEvent with a "cmd" or "reply" leading
+ * key, core/progress.hh) and read here with the same escaping rules,
+ * so a relayed progress line and a protocol line never disagree
+ * about what a byte means. Messages are extracted by key, not
+ * position: readers ignore keys they do not know, so the protocol
+ * is forward-extensible without a version dance (the schema tuple
+ * in the worker hello covers the parts that must match exactly).
  */
 
 #ifndef MICROLIB_SERVICE_PROTOCOL_HH
@@ -27,37 +28,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/progress.hh"
+
 namespace microlib
 {
-
-/**
- * Builder for one protocol line: {"<kind>":"<name>", fields...}.
- * The service sibling of ProgressEvent with a caller-chosen leading
- * key — "cmd" for requests, "reply" for responses.
- */
-class ProtocolMsg
-{
-  public:
-    ProtocolMsg(const char *kind, const std::string &name);
-
-    ProtocolMsg &field(const char *key, const std::string &value);
-    ProtocolMsg &field(const char *key, const char *value);
-    ProtocolMsg &field(const char *key, std::uint64_t value);
-    /** "key":[1,2,3] — task-index lists. */
-    ProtocolMsg &field(const char *key,
-                       const std::vector<std::size_t> &values);
-
-    /** The complete JSON object, closing brace included, no
-     *  newline. */
-    std::string str() const;
-
-  private:
-    std::ostringstream _os;
-};
 
 /** Whether @p line's first key is @p key ("cmd", "reply", "event")
  *  and, if so, its string value in @p out. */

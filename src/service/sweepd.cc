@@ -30,7 +30,7 @@ secondsSince(Clock::time_point then, Clock::time_point now)
 std::string
 errReply(const std::string &cmd, const std::string &error)
 {
-    return ProtocolMsg("reply", cmd)
+    return ProgressEvent("reply", cmd)
         .field("ok", std::uint64_t{0})
         .field("error", error)
         .str();
@@ -247,7 +247,7 @@ SweepService::handleLine(Conn &c, const std::string &line)
     else if (kind == "complete")
         cmdComplete(c, line);
     else if (kind == "shutdown") {
-        send(c, ProtocolMsg("reply", "shutdown")
+        send(c, ProgressEvent("reply", "shutdown")
                     .field("ok", std::uint64_t{1})
                     .str());
         requestStop();
@@ -291,7 +291,7 @@ SweepService::cmdSubmit(Conn &c, const std::string &line)
                      .field("total", std::uint64_t(job.total()))
                      .field("prefilled",
                             std::uint64_t(job.prefilled)));
-    send(c, ProtocolMsg("reply", "submit")
+    send(c, ProgressEvent("reply", "submit")
                 .field("ok", std::uint64_t{1})
                 .field("job", job.id)
                 .field("dedup", dedup)
@@ -306,7 +306,7 @@ void
 SweepService::statusReply(Conn &c, ServiceJob &job)
 {
     send(c,
-         ProtocolMsg("reply", "status")
+         ProgressEvent("reply", "status")
              .field("ok", std::uint64_t{1})
              .field("job", job.id)
              .field("state", job.completed ? "done" : "running")
@@ -371,7 +371,7 @@ SweepService::cmdResult(Conn &c, const std::string &line)
         if (rec)
             records.push_back(ResultStore::formatRecord(*rec));
     }
-    send(c, ProtocolMsg("reply", "result")
+    send(c, ProgressEvent("reply", "result")
                 .field("ok", std::uint64_t{1})
                 .field("job", job->id)
                 .field("records", std::uint64_t(records.size()))
@@ -379,7 +379,7 @@ SweepService::cmdResult(Conn &c, const std::string &line)
                 .field("exit", std::uint64_t(job->exitCode()))
                 .str());
     for (const std::string &r : records)
-        if (!send(c, ProtocolMsg("reply", "record")
+        if (!send(c, ProgressEvent("reply", "record")
                          .field("rec", r)
                          .str()))
             return; // client gone; stop streaming
@@ -392,14 +392,14 @@ SweepService::cmdWorkers(Conn &c)
     for (const Conn &w : _conns)
         if (w.is_worker && !w.dead)
             ++count;
-    send(c, ProtocolMsg("reply", "workers")
+    send(c, ProgressEvent("reply", "workers")
                 .field("ok", std::uint64_t{1})
                 .field("count", count)
                 .str());
     for (const Conn &w : _conns) {
         if (!w.is_worker || w.dead)
             continue;
-        if (!send(c, ProtocolMsg("reply", "worker")
+        if (!send(c, ProgressEvent("reply", "worker")
                          .field("name", w.name)
                          .field("leased",
                                 std::uint64_t(w.lease_count))
@@ -440,7 +440,7 @@ SweepService::cmdHello(Conn &c, const std::string &line)
     progress(ProgressEvent("worker")
                  .field("name", c.name)
                  .field("state", "attach"));
-    send(c, ProtocolMsg("reply", "hello")
+    send(c, ProgressEvent("reply", "hello")
                 .field("ok", std::uint64_t{1})
                 .field("lease_size",
                        std::uint64_t(_opts.lease_size))
@@ -462,7 +462,7 @@ SweepService::cmdLease(Conn &c)
     ServiceJob *job = _jobs.nextLeasable();
     if (!job) {
         // Nothing to do right now; the worker sleeps and re-asks.
-        send(c, ProtocolMsg("reply", "lease")
+        send(c, ProgressEvent("reply", "lease")
                     .field("ok", std::uint64_t{1})
                     .field("tasks", std::vector<std::size_t>{})
                     .str());
@@ -478,7 +478,7 @@ SweepService::cmdLease(Conn &c)
                  .field("tasks", std::uint64_t(tasks.size()))
                  .field("first",
                         std::uint64_t(tasks.empty() ? 0 : tasks[0])));
-    send(c, ProtocolMsg("reply", "lease")
+    send(c, ProgressEvent("reply", "lease")
                 .field("ok", std::uint64_t{1})
                 .field("job", job->id)
                 .field("spec", job->spec_text)
@@ -565,7 +565,7 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
                                 job->queue.quarantined().size()))
                      .field("exit",
                             std::uint64_t(job->exitCode())));
-    send(c, ProtocolMsg("reply", "complete")
+    send(c, ProgressEvent("reply", "complete")
                 .field("ok", std::uint64_t{1})
                 .str());
 }

@@ -72,7 +72,7 @@ runWorkerLoop(const WorkerOptions &wopts)
 
     std::string reply;
     if (!exchange(sock,
-                  ProtocolMsg("cmd", "hello")
+                  ProgressEvent("cmd", "hello")
                       .field("name", name)
                       .field("schema", schemaTuple())
                       .field("store", store_path)
@@ -112,7 +112,7 @@ runWorkerLoop(const WorkerOptions &wopts)
            " (store ", store_path, ")");
 
     for (;;) {
-        if (!exchange(sock, ProtocolMsg("cmd", "lease").str(),
+        if (!exchange(sock, ProgressEvent("cmd", "lease").str(),
                       reply)) {
             // The daemon closing the socket between leases is the
             // normal end of service (shutdown after drain).
@@ -163,7 +163,7 @@ runWorkerLoop(const WorkerOptions &wopts)
         RunCounters counters;
         counters.resumed = plan.prefill(store, res, done);
 
-        ProtocolMsg complete("cmd", "complete");
+        ProgressEvent complete("cmd", "complete");
         complete.field("job", job_id).field("tasks", tasks);
         try {
             ThreadPoolBackend leaf;

@@ -1,25 +1,17 @@
-/** @file Lockstep multi-variant execution tests: the lockstep path
- *  (one SoA trace pass advancing V variant simulations block by
- *  block) must be bit-identical — every CoreResult field and every
- *  stat — to the per-variant oracle, for any thread count, across a
- *  ProcessShardBackend merge, and when an interrupted sweep resumes
- *  mid-group (only the missing variants re-execute). Also covers
- *  TaskPlan::lockstepGroups' grouping/ordering contract and the raw
- *  LockstepGroup API against OoOCore::run(). */
+/** @file LockstepGroup tests. Lockstep is off the sweep path; the
+ *  sweep benchmark's traced replay still times LockstepGroup over
+ *  TaskPlan::lockstepGroups, so these pin what it relies on: the
+ *  grouping/ordering contract of lockstepGroups and the raw
+ *  LockstepGroup API bit-identical to independent OoOCore::run()
+ *  calls. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/baseline_config.hh"
-#include "core/process_shard_backend.hh"
-#include "core/registry.hh"
-#include "core/result_store.hh"
-#include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
 #include "core/task_plan.hh"
 #include "cpu/lockstep.hh"
@@ -52,94 +44,6 @@ lockstepSpec()
     if (!SweepSpec::parse(lockstep_text, spec, &error))
         ADD_FAILURE() << error;
     return spec;
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return testing::TempDir() + "microlib_lockstep_" + name;
-}
-
-/** Bit-identity across every variant matrix of two sweep results:
- *  the full CoreResult, not just IPC, plus the stat snapshot. */
-void
-expectIdentical(const SweepResult &a, const SweepResult &b)
-{
-    ASSERT_EQ(a.variants, b.variants);
-    ASSERT_EQ(a.matrices.size(), b.matrices.size());
-    for (std::size_t v = 0; v < a.matrices.size(); ++v) {
-        const MatrixResult &ma = a.matrices[v];
-        const MatrixResult &mb = b.matrices[v];
-        ASSERT_EQ(ma.mechanisms, mb.mechanisms);
-        ASSERT_EQ(ma.benchmarks, mb.benchmarks);
-        for (std::size_t m = 0; m < ma.mechanisms.size(); ++m) {
-            for (std::size_t bi = 0; bi < ma.benchmarks.size();
-                 ++bi) {
-                const RunOutput &oa = ma.outputs[m][bi];
-                const RunOutput &ob = mb.outputs[m][bi];
-                const std::string where = a.variants[v] + " " +
-                                          ma.mechanisms[m] + "/" +
-                                          ma.benchmarks[bi];
-                EXPECT_EQ(oa.core.instructions, ob.core.instructions)
-                    << where;
-                EXPECT_EQ(oa.core.cycles, ob.core.cycles) << where;
-                EXPECT_EQ(oa.core.ipc, ob.core.ipc) << where;
-                EXPECT_EQ(oa.core.loads, ob.core.loads) << where;
-                EXPECT_EQ(oa.core.stores, ob.core.stores) << where;
-                EXPECT_EQ(oa.core.branches, ob.core.branches)
-                    << where;
-                EXPECT_EQ(oa.core.mispredicts, ob.core.mispredicts)
-                    << where;
-                EXPECT_EQ(oa.stats, ob.stats) << where;
-            }
-        }
-    }
-}
-
-/** Bit-identity of two single-run outputs. */
-void
-expectIdentical(const RunOutput &a, const RunOutput &b)
-{
-    EXPECT_EQ(a.core.instructions, b.core.instructions);
-    EXPECT_EQ(a.core.cycles, b.core.cycles);
-    EXPECT_EQ(a.core.ipc, b.core.ipc);
-    EXPECT_EQ(a.core.loads, b.core.loads);
-    EXPECT_EQ(a.core.stores, b.core.stores);
-    EXPECT_EQ(a.core.branches, b.core.branches);
-    EXPECT_EQ(a.core.mispredicts, b.core.mispredicts);
-    EXPECT_EQ(a.stats, b.stats);
-}
-
-/** Run the reference spec on a fresh engine. */
-SweepResult
-runSweep(bool lockstep, unsigned threads,
-         ResultStore *store = nullptr,
-         ExecutionBackend *backend = nullptr)
-{
-    EngineOptions opts;
-    opts.threads = threads;
-    opts.lockstep = lockstep;
-    opts.store = store;
-    opts.backend = backend;
-    ExperimentEngine engine(opts);
-    return engine.run(lockstepSpec());
-}
-
-/** Copy the first @p n record lines of @p src to @p dst — the store
- *  an interrupted sweep leaves behind. */
-std::size_t
-truncateStoreFile(const std::string &src, const std::string &dst,
-                  std::size_t n)
-{
-    std::ifstream in(src);
-    std::ofstream out(dst, std::ios::trunc);
-    std::string line;
-    std::size_t copied = 0;
-    while (copied < n && std::getline(in, line)) {
-        out << line << '\n';
-        ++copied;
-    }
-    return copied;
 }
 
 } // namespace
@@ -260,98 +164,4 @@ TEST(Lockstep, GroupMatchesIndependentRuns)
         EXPECT_EQ(locked.branches, solo.branches);
         EXPECT_EQ(locked.mispredicts, solo.mispredicts);
     }
-}
-
-TEST(Lockstep, RunLockstepMatchesRunOne)
-{
-    // The experiment-layer fan-out: runLockstep over mixed configs
-    // is bit-identical (stats included) to per-config runOne calls.
-    const SweepSpec spec = lockstepSpec();
-    const TaskPlan plan(spec);
-    const MaterializedTrace trace =
-        materializeFor("gzip", plan.config(0));
-    for (const char *mech : {"Base", "TP"}) {
-        std::vector<const RunConfig *> cfgs;
-        for (std::size_t v = 0; v < plan.variantCount(); ++v)
-            cfgs.push_back(&plan.config(v));
-        const std::vector<RunOutput> locked =
-            runLockstep(trace, mech, cfgs);
-        ASSERT_EQ(locked.size(), cfgs.size());
-        for (std::size_t v = 0; v < cfgs.size(); ++v)
-            expectIdentical(locked[v],
-                            runOne(trace, mech, *cfgs[v]));
-    }
-}
-
-TEST(Lockstep, SweepBitIdenticalToOracleAcrossThreadCounts)
-{
-    // The oracle: lockstep off, each task simulated alone.
-    const SweepResult oracle = runSweep(false, 1);
-    for (const unsigned threads : {1u, 4u, 8u}) {
-        const SweepResult locked = runSweep(true, threads);
-        expectIdentical(oracle, locked);
-    }
-    // The oracle itself is also thread-count invariant.
-    expectIdentical(oracle, runSweep(false, 4));
-}
-
-TEST(Lockstep, ProcessShardMergeBitIdentical)
-{
-    const SweepResult oracle = runSweep(false, 1);
-
-    const std::string store_path = tmpPath("shards.store");
-    std::remove(store_path.c_str());
-    for (std::size_t i = 0; i < 4; ++i)
-        std::remove(ProcessShardBackend::shardStorePath(
-                        store_path, i, 2)
-                        .c_str());
-    ResultStore store(store_path);
-    ProcessShardOptions popts;
-    popts.shards = 2;
-    ProcessShardBackend backend(popts);
-    const SweepResult merged = runSweep(true, 1, &store, &backend);
-    expectIdentical(oracle, merged);
-    std::remove(store_path.c_str());
-}
-
-TEST(Lockstep, InterruptedSweepResumesOnlyMissingGroupMembers)
-{
-    const TaskPlan plan(lockstepSpec());
-    const std::size_t total = plan.size();
-
-    // Complete the sweep once (lockstep, 1 thread: group order and
-    // store record order are deterministic)...
-    const std::string full_path = tmpPath("resume_full.store");
-    std::remove(full_path.c_str());
-    SweepResult reference;
-    {
-        ResultStore full(full_path);
-        reference = runSweep(true, 1, &full);
-        ASSERT_EQ(full.size(), total);
-    }
-
-    // ..."kill" it after 4 records. With 3-member groups that is one
-    // whole group plus one member of the next: the resumed sweep
-    // faces a partially completed lockstep group.
-    const std::string half_path = tmpPath("resume_half.store");
-    const std::size_t kept =
-        truncateStoreFile(full_path, half_path, 4);
-    ASSERT_EQ(kept, 4u);
-
-    ResultStore store(half_path);
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.lockstep = true;
-    opts.store = &store;
-    ExperimentEngine engine(opts);
-    const SweepResult resumed = engine.run(lockstepSpec());
-    // Only the missing variants re-execute — the partially done
-    // group runs as a 2-member group, not a re-run 3-member one.
-    EXPECT_EQ(engine.lastRun().resumed, kept);
-    EXPECT_EQ(engine.lastRun().executed, total - kept);
-    EXPECT_EQ(store.size(), total);
-    expectIdentical(reference, resumed);
-
-    std::remove(full_path.c_str());
-    std::remove(half_path.c_str());
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/scheduler.hh"
+#include "core/sweep_spec.hh"
 #include "sim/logging.hh"
 
 using namespace microlib;
@@ -35,6 +36,27 @@ runWithThreads(unsigned threads, const RunConfig &cfg)
     ExperimentEngine engine(opts);
     return engine.run({"Base", "TP", "SP", "GHB"},
                       {"swim", "gzip", "crafty"}, cfg);
+}
+
+/** Three benchmarks x two mechanisms x three L2-size variants, all
+ *  variants sharing one trace slot per benchmark. */
+SweepResult
+runVariantsWithThreads(unsigned threads)
+{
+    SweepSpec spec;
+    std::string error;
+    if (!SweepSpec::parse("sweep-spec v1\n"
+                          "bench swim gzip mcf\n"
+                          "mech Base TP\n"
+                          "base window.trace_length=100000\n"
+                          "base window.interval=100000\n"
+                          "axis hier.l2.size 256k 512k 1M\n",
+                          spec, &error))
+        ADD_FAILURE() << error;
+    EngineOptions opts;
+    opts.threads = threads;
+    ExperimentEngine engine(opts);
+    return engine.run(spec);
 }
 
 /** Full bit-identity: IPC matrix and every per-run stat snapshot. */
@@ -67,6 +89,19 @@ TEST(Scheduler, BitIdenticalAcrossWorkerCounts)
     const MatrixResult eight = runWithThreads(8, cfg);
     expectIdentical(serial, four);
     expectIdentical(serial, eight);
+
+    // Multi-variant: the variants of each benchmark share its trace
+    // and race for it across workers; every variant matrix stays
+    // bit-identical.
+    const SweepResult serial_sweep = runVariantsWithThreads(1);
+    ASSERT_EQ(serial_sweep.matrices.size(), 3u);
+    for (const unsigned threads : {4u, 8u}) {
+        const SweepResult sweep = runVariantsWithThreads(threads);
+        ASSERT_EQ(sweep.variants, serial_sweep.variants);
+        for (std::size_t v = 0; v < sweep.matrices.size(); ++v)
+            expectIdentical(serial_sweep.matrices[v],
+                            sweep.matrices[v]);
+    }
 }
 
 TEST(Scheduler, RunMatrixHonorsThreadsEnv)

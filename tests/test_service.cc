@@ -176,7 +176,7 @@ TEST(LeaseQueue, QuarantineRemovesFromEitherState)
 TEST(Protocol, BuilderAndFindersRoundTrip)
 {
     const std::string line =
-        ProtocolMsg("cmd", "submit")
+        ProgressEvent("cmd", "submit")
             .field("spec", std::string("line1\nline \"2\" \\ tail"))
             .field("count", std::uint64_t{42})
             .field("tasks", std::vector<std::size_t>{3, 1, 4})
@@ -201,11 +201,12 @@ TEST(Protocol, BuilderAndFindersRoundTrip)
 
 TEST(Protocol, MissingKeysAndEmptyArray)
 {
-    const std::string line = ProtocolMsg("reply", "lease")
+    const std::string line = ProgressEvent("reply", "lease")
                                  .field("ok", std::uint64_t{1})
                                  .field("tasks",
                                         std::vector<std::size_t>{})
                                  .str();
+    EXPECT_EQ(line, R"({"reply":"lease","ok":1,"tasks":[]})");
     std::vector<std::size_t> tasks = {99};
     ASSERT_TRUE(jsonFindArray(line, "tasks", tasks));
     EXPECT_TRUE(tasks.empty());
@@ -221,7 +222,7 @@ TEST(Protocol, KeyTextInsideAValueIsNotAField)
     // shadow the real one: interior quotes are escaped, so the raw
     // byte pattern "key":" only ever opens a true field.
     const std::string line =
-        ProtocolMsg("cmd", "submit")
+        ProgressEvent("cmd", "submit")
             .field("spec", std::string("\"job\":\"fake\""))
             .field("job", std::string("real"))
             .str();
@@ -374,12 +375,12 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
     // it (with a strike) and the job must still complete below.
     {
         RawClient client(fix.service->address());
-        client.exchange(ProtocolMsg("cmd", "submit")
+        client.exchange(ProgressEvent("cmd", "submit")
                             .field("spec", spec.canonicalText())
                             .str());
         RawClient fake(fix.service->address());
         std::string reply = fake.exchange(
-            ProtocolMsg("cmd", "hello")
+            ProgressEvent("cmd", "hello")
                 .field("name", std::string("fake"))
                 .field("schema", schemaTuple())
                 .field("store", tmpPath("absent.store"))
@@ -387,7 +388,7 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
         std::uint64_t ok = 0;
         ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
         ASSERT_EQ(ok, 1u);
-        reply = fake.exchange(ProtocolMsg("cmd", "lease").str());
+        reply = fake.exchange(ProgressEvent("cmd", "lease").str());
         std::vector<std::size_t> tasks;
         ASSERT_TRUE(jsonFindArray(reply, "tasks", tasks));
         ASSERT_EQ(tasks.size(), 1u);
@@ -439,7 +440,7 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
     {
         RawClient client(fix.service->address());
         const std::string reply = client.exchange(
-            ProtocolMsg("cmd", "submit")
+            ProgressEvent("cmd", "submit")
                 .field("spec", spec.canonicalText())
                 .str());
         std::string dedup, state;
@@ -473,17 +474,17 @@ TEST(SweepService, StrikesQuarantineAPoisonTask)
 
     {
         RawClient client(fix.service->address());
-        client.exchange(ProtocolMsg("cmd", "submit")
+        client.exchange(ProgressEvent("cmd", "submit")
                             .field("spec", spec.canonicalText())
                             .str());
         RawClient fake(fix.service->address());
-        fake.exchange(ProtocolMsg("cmd", "hello")
+        fake.exchange(ProgressEvent("cmd", "hello")
                           .field("name", std::string("poisoned"))
                           .field("schema", schemaTuple())
                           .field("store", tmpPath("absent2.store"))
                           .str());
         const std::string reply =
-            fake.exchange(ProtocolMsg("cmd", "lease").str());
+            fake.exchange(ProgressEvent("cmd", "lease").str());
         std::vector<std::size_t> tasks;
         ASSERT_TRUE(jsonFindArray(reply, "tasks", tasks));
         ASSERT_EQ(tasks.size(), 1u);
@@ -519,7 +520,7 @@ TEST(SweepService, StrikesQuarantineAPoisonTask)
     {
         RawClient client(fix.service->address());
         const std::string reply = client.exchange(
-            ProtocolMsg("cmd", "status")
+            ProgressEvent("cmd", "status")
                 .field("job", jobIdOf(spec))
                 .str());
         std::uint64_t exit = 0;
@@ -545,7 +546,7 @@ TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)
     // turned away before it can corrupt anything.
     RawClient wrong(fix.service->address());
     std::string reply = wrong.exchange(
-        ProtocolMsg("cmd", "hello")
+        ProgressEvent("cmd", "hello")
             .field("name", std::string("old"))
             .field("schema", std::string("store=0;arena=0;sweephash=0"))
             .field("store", tmpPath("old.store"))
@@ -558,7 +559,7 @@ TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)
     EXPECT_NE(why.find("schema mismatch"), std::string::npos);
 
     // Leasing without a hello is a protocol error, not a lease.
-    reply = wrong.exchange(ProtocolMsg("cmd", "lease").str());
+    reply = wrong.exchange(ProgressEvent("cmd", "lease").str());
     ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
     EXPECT_EQ(ok, 0u);
     fix.shutdown();
@@ -575,12 +576,20 @@ TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)
     std::thread loop([&] { service.run(); });
 
     RawClient client(service.address());
-    reply = client.exchange(ProtocolMsg("cmd", "submit")
+    reply = client.exchange(ProgressEvent("cmd", "submit")
                                 .field("spec", kSpecText)
                                 .str());
     ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
     EXPECT_EQ(ok, 0u);
-    reply = client.exchange(ProtocolMsg("cmd", "hello")
+    // The refused job is gone. Erasing it must not read the job's id
+    // after freeing the job: under AddressSanitizer this refusal is
+    // the heap-use-after-free regression test.
+    reply = client.exchange(ProgressEvent("cmd", "status")
+                                .field("job", jobIdOf(parseSpec()))
+                                .str());
+    ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
+    EXPECT_EQ(ok, 0u);
+    reply = client.exchange(ProgressEvent("cmd", "hello")
                                 .field("name", std::string("w"))
                                 .field("schema", schemaTuple())
                                 .field("store", tmpPath("w.store"))

@@ -1,9 +1,10 @@
 /** @file SweepSpec tests: parse/serialize round-trips, cross-host
  *  canonical-hash stability, useful rejection of bad specs, variant
  *  expansion/trace-slot sharing, and the determinism contract of a
- *  2-variant sweep sharded over separate stores (merged byte-
- *  identical to single-process; an interrupted sweep resumes exactly
- *  the missing (benchmark, mechanism, variant) tasks). */
+ *  2-variant sweep sharded over separate stores or forked shard
+ *  workers (merged byte-identical to single-process; an interrupted
+ *  sweep resumes exactly the missing (benchmark, mechanism, variant)
+ *  tasks). */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/process_shard_backend.hh"
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
 #include "core/sweep_spec.hh"
@@ -289,9 +291,33 @@ TEST(SweepSpec, TwoVariantShardDeterminism)
     EXPECT_EQ(engine.lastRun().resumed, total);
     expectIdentical(reference, combined);
 
+    // The same two shards forked by ProcessShardBackend in one
+    // invocation merge back bit-identically too.
+    const std::string forked_path = tmpPath("forked.store");
+    std::remove(forked_path.c_str());
+    for (std::size_t i = 0; i < 2; ++i)
+        std::remove(ProcessShardBackend::shardStorePath(forked_path,
+                                                        i, 2)
+                        .c_str());
+    {
+        ResultStore store(forked_path);
+        ProcessShardOptions popts;
+        popts.shards = 2;
+        ProcessShardBackend backend(popts);
+        EngineOptions fopts;
+        fopts.threads = 1;
+        fopts.store = &store;
+        fopts.backend = &backend;
+        ExperimentEngine forked(fopts);
+        expectIdentical(reference, forked.run(spec));
+        EXPECT_EQ(forked.lastRun().executed, total);
+        EXPECT_EQ(store.size(), total);
+    }
+
     for (const auto &path : shard_paths)
         std::remove(path.c_str());
     std::remove(merged_path.c_str());
+    std::remove(forked_path.c_str());
 }
 
 TEST(SweepSpec, InterruptedVariantSweepResumesOnlyMissingTasks)
