@@ -11,10 +11,12 @@
  *    drain loop over the engine's persistent worker pool — the
  *    default, and the leaf executor every other backend bottoms out
  *    in.
- *  - ProcessShardBackend (process_shard_backend.hh): partitions the
- *    plan into N shards by stable task index, runs each shard in a
- *    forked worker process with its own append-only store, and
- *    merges the shard stores back into the parent's.
+ *  - ProcessShardBackend (process_shard_backend.hh): runs the sweep
+ *    service core in process over N forked pull workers, each with
+ *    its own append-only store, merged into the parent's as leases
+ *    complete.
+ *  - ServiceBackend (service_backend.hh): submits the plan to a
+ *    microlib_sweepd daemon and fetches the records.
  *
  * Every backend obeys the same contract: execute each task exactly
  * per plan slot, persist through the attached store before
@@ -26,6 +28,7 @@
 #ifndef MICROLIB_CORE_EXECUTION_BACKEND_HH
 #define MICROLIB_CORE_EXECUTION_BACKEND_HH
 
+#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -53,11 +56,12 @@ struct RunCounters
      *  line's task simply re-executes. */
     std::size_t store_skipped = 0;
 
-    /** Flat plan indices quarantined by the supervised process
-     *  backend: tasks that repeatedly crashed or wedged their worker
-     *  and were excluded so the rest of the sweep could finish. Their
-     *  matrix cells stay empty (MatrixResult::fault marks them) and
-     *  reports render them as FAULT. Empty everywhere else. */
+    /** Flat plan indices quarantined by a supervised backend
+     *  (process or service): tasks that repeatedly crashed or wedged
+     *  their worker and were excluded so the rest of the sweep could
+     *  finish. Their matrix cells stay empty (MatrixResult::fault
+     *  marks them) and reports render them as FAULT. Empty everywhere
+     *  else. */
     std::vector<std::size_t> quarantined;
 
     std::size_t total() const
@@ -72,6 +76,10 @@ struct ExecutionContext
     ExperimentEngine &engine;   ///< trace cache + worker pool owner
     const EngineOptions &opts;  ///< verbose/store/shard/keep_traces
     ProgressWriter *progress;   ///< may be nullptr (disabled)
+    /** Origin of the progress events' elapsed_s: the run's start, or
+     *  a service worker's, so its times keep rising across leases. */
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
 };
 
 /** Strategy interface: run a plan's pending tasks. */

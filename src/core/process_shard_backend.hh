@@ -1,43 +1,38 @@
 /**
  * @file
- * ProcessShardBackend: multi-process sharded execution.
+ * ProcessShardBackend: multi-process execution on one host.
  *
- * Partitions the plan's pending tasks into N shards by stable task
- * index (task i belongs to shard i mod N), forks one worker process
- * per non-empty shard, and merges the results back:
+ * The backend runs the sweep service core (service/sweepd.hh) in
+ * process, on the calling thread, over N forked pull workers:
  *
- *  - each worker is a fresh ExperimentEngine (own thread pool, own
- *    trace cache) running ThreadPoolBackend over exactly its shard;
- *  - each worker appends to its OWN result store
- *    (`<store>.shard<i>of<N>`), so workers never contend on a file
- *    and a killed worker's store resumes its shard on the next run;
- *  - the parent SUPERVISES the workers (core/supervisor.hh, see
- *    docs/FAULT_TOLERANCE.md): it polls instead of blocking in
- *    waitpid, tails each worker's JSONL progress stream for
- *    heartbeat liveness, SIGKILLs a worker that stops heartbeating
- *    past EngineOptions::heartbeat_timeout, restarts dead/stalled
- *    workers with exponential backoff up to
- *    EngineOptions::max_worker_retries (the restarted worker resumes
- *    from its shard store, so only missing tasks re-execute), and
- *    quarantines a task that keeps killing its worker after
- *    EngineOptions::quarantine_strikes failures — the rest of the
- *    sweep completes, the cell is flagged in MatrixResult::fault and
- *    listed in RunCounters::quarantined;
- *  - once every shard finishes, the parent merges the shard stores
- *    into the attached store by record concatenation and fills the
- *    matrix from the merged records.
+ *  - the plan is submitted to the embedded service directly, never
+ *    as spec text, and the workers inherit it through fork(), so
+ *    programmatic plans work as well as spec files;
+ *  - each worker gets a private socketpair and runs the ordinary
+ *    worker loop (service/worker.hh): lease -> execute -> complete,
+ *    appending every result to its OWN store
+ *    (`shardStorePath(store, i, N)`), which the service merges into
+ *    the parent's store as each lease completes;
+ *  - supervision is the service's: heartbeats over the socket are
+ *    liveness and blame, SweepSupervisor strikes, quarantines and
+ *    budgets restarts per worker slot (docs/FAULT_TOLERANCE.md);
+ *  - the backend keeps only the process-lifetime duties: fork the
+ *    workers, SIGKILL one the service cut for silence, reap a dead
+ *    one and fork its replacement after the supervisor's backoff,
+ *    and on give-up kill them all and throw InfrastructureError with
+ *    every record kept for resume.
  *
  * Because every record round-trips bit-exactly (hexfloat text) and
- * every task's slot is pre-assigned by the plan, the merged
- * SweepResult is byte-identical to a single-process run of the same
- * plan — whatever the variant count; sharding is a wall-clock
- * strategy, never a results change.
+ * every task's slot is pre-assigned by the plan, the SweepResult is
+ * byte-identical to a single-process run of the same plan, whatever
+ * the worker count: more workers change the wall clock, never the
+ * results.
  *
- * The same partitioning runs across hosts with no fork at all: each
- * host runs `microlib_sweep --shard i/N --store <own store>` and the
- * stores are merged afterwards (`--merge`). This backend is the
- * single-host convenience form of that workflow. Requires a
- * file-backed ResultStore on the engine (fatal otherwise).
+ * Worker stores left behind by a killed parent are merged (and
+ * counted as resumed) before anything runs. Requires a file-backed
+ * ResultStore on the engine (fatal otherwise). The static
+ * `--shard i/N` partition is a separate thing: a plan filter for
+ * running shards on separate hosts (docs/SHARDING.md).
  */
 
 #ifndef MICROLIB_CORE_PROCESS_SHARD_BACKEND_HH
@@ -53,20 +48,15 @@ namespace microlib
 /** ProcessShardBackend construction knobs. */
 struct ProcessShardOptions
 {
-    /** Worker process count (plan shard count). */
+    /** Worker process count. */
     std::size_t shards = 2;
 
-    /** EngineOptions::threads inside each worker (0 = 1: shards are
-     *  the parallelism axis, so workers default to serial). */
+    /** EngineOptions::threads inside each worker (0 = 1: workers are
+     *  the parallelism axis, so they default to serial). */
     unsigned threads_per_shard = 0;
-
-    /** Keep the per-shard store files after a successful merge
-     *  (they are always kept when a worker fails, so the next run
-     *  resumes the shard). */
-    bool keep_shard_stores = false;
 };
 
-/** Forked shard workers, one append-only store per shard. */
+/** Forked pull workers under the embedded sweep service. */
 class ProcessShardBackend : public ExecutionBackend
 {
   public:
@@ -78,7 +68,7 @@ class ProcessShardBackend : public ExecutionBackend
                  const ExecutionContext &ctx, SweepResult &res,
                  RunCounters &counters) override;
 
-    /** The store path shard @p index of @p count appends to, derived
+    /** The store path worker @p index of @p count appends to, derived
      *  from the parent store path @p base. */
     static std::string shardStorePath(const std::string &base,
                                       std::size_t index,

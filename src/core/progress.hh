@@ -13,7 +13,7 @@
  *   {"event":"heartbeat",...} per task, immediately BEFORE it
  *                             simulates: the flat task index about to
  *                             run (plus bench/mech). The liveness
- *                             signal supervised sharding tails — and
+ *                             signal the sweep service watches — and
  *                             the blame evidence when the process
  *                             dies or wedges on that task
  *   {"event":"run",...}       per finished task: benchmark, mechanism,
@@ -24,20 +24,19 @@
  *   {"event":"done",...}      once per run(): final counters,
  *                             quarantined/store_skipped included
  *
- * The supervising parent of a multi-process sweep adds worker
- * lifecycle events to ITS stream: "shard" (worker launched: pid,
- * attempt), "worker_stall" (heartbeat timeout: SIGKILL),
- * "worker_restart" (restart verdict: retries, backoff delay),
- * "quarantine" (a task excluded after repeated strikes) and
- * "shard_exit" (a worker finished).
+ * The sweep service supervising a multi-process sweep (the daemon,
+ * or the one embedded in ProcessShardBackend) adds its own events:
+ * "job" (submitted), "worker" (attach, detach, died or stalled, with
+ * the requeued count), "lease" (tasks granted), "quarantine" (a task
+ * excluded after repeated strikes) and "job_done".
  *
- * Each shard of a multi-process sweep writes its own stream (the
- * parent derives per-shard paths), so shards are monitored
- * independently. Progress output never feeds back into results: it
- * carries wall-clock times but the determinism contract is untouched.
- * Consumers must tolerate a torn final line — a writer can die
- * mid-write; core/supervisor.hh's ProgressFollower (which only ever
- * consumes completed lines) is the reference reader.
+ * Each worker of a multi-process sweep has its own stream (the
+ * process backend relays worker i's into <path>.shard<i>), so workers
+ * are monitored independently. Progress output never feeds back into
+ * results: it carries wall-clock times but the determinism contract
+ * is untouched. Consumers must tolerate a torn final line — a writer
+ * can die mid-write; core/supervisor.hh's ProgressStreamFollower
+ * (which only ever surfaces completed lines) is the reference reader.
  */
 
 #ifndef MICROLIB_CORE_PROGRESS_HH

@@ -16,8 +16,9 @@
  *
  * The default backend is ThreadPoolBackend (the in-process drain
  * loop over the engine's persistent worker pool); EngineOptions can
- * swap in ProcessShardBackend (forked shard workers, one store per
- * shard, merged by concatenation) or any custom ExecutionBackend.
+ * swap in ProcessShardBackend (forked pull workers under an embedded
+ * sweep service, one store per worker) or any custom
+ * ExecutionBackend.
  * EngineOptions::shard restricts an in-process run to one shard of
  * the plan — the `microlib_sweep --shard i/N` building block for
  * cluster-scale sweeps.
@@ -127,16 +128,16 @@ struct EngineOptions
      * Supervision knobs for ProcessShardBackend (ignored elsewhere;
      * see core/supervisor.hh and docs/FAULT_TOLERANCE.md).
      *
-     * heartbeat_timeout: seconds without progress-stream growth
-     * before a shard worker is declared stalled and SIGKILLed for
+     * heartbeat_timeout: seconds without a byte from a worker that
+     * holds a lease before it is declared stalled and SIGKILLed for
      * restart. Must exceed the longest single task; <= 0 (default)
      * disables stall detection — crash supervision still applies.
      */
     double heartbeat_timeout = 0.0;
 
-    /** Worker restarts allowed per shard before the sweep fails
-     *  (0 = the old fail-fast behavior). The budget resets when a
-     *  quarantine removes the task that was killing the worker. */
+    /** Worker restarts allowed per worker slot before the sweep
+     *  fails (0 = fail fast). The budget resets when a quarantine
+     *  removes the task that was killing the worker. */
     std::size_t max_worker_retries = 2;
 
     /** Failures blamed on the same task before it is quarantined
@@ -145,7 +146,7 @@ struct EngineOptions
     std::size_t quarantine_strikes = 3;
 
     /** First worker-restart delay in seconds; doubles per
-     *  consecutive retry of the same shard (capped internally). */
+     *  consecutive retry of the same slot (capped internally). */
     double worker_backoff_s = 0.25;
 };
 

@@ -1,6 +1,5 @@
 #include "core/service_backend.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -159,27 +158,9 @@ ServiceBackend::execute(const TaskPlan &plan,
 
     std::vector<char> merged_done = done;
     counters.executed += plan.prefill(*fill_store, res, merged_done);
-
-    // Quarantined tasks have no record: flag their cells and exempt
-    // them from the completeness check — same record-wins rule as
-    // the process-shard merge (a task whose record landed anywhere
-    // is simply done).
-    std::sort(quarantined.begin(), quarantined.end());
-    for (const std::size_t q : quarantined) {
-        if (q >= plan.size() || merged_done[q])
-            continue;
-        merged_done[q] = 1;
-        const PlanTask &t = plan.task(q);
-        res.matrix(t.v).fault[t.m][t.b] = 1;
-        counters.quarantined.push_back(q);
-    }
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        if (!merged_done[i])
-            throw InfrastructureError(
-                "sweep service: job " + job_id +
-                " reported done but task " + std::to_string(i) +
-                " has no record (" + std::to_string(parsed) +
-                " records fetched)");
+    plan.settle(quarantined, merged_done, res, counters.quarantined,
+                "sweep service: job " + job_id + " (" +
+                    std::to_string(parsed) + " records fetched)");
 }
 
 } // namespace microlib

@@ -1,30 +1,15 @@
 #include "core/supervisor.hh"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
-#include <fstream>
 
 namespace microlib
 {
 
-ProgressFollower::ProgressFollower(std::string path)
-    : _path(std::move(path))
-{
-}
-
-void
-ProgressFollower::rewind()
-{
-    _offset = 0;
-    _has_task = false;
-    _task = 0;
-}
-
 bool
-ProgressFollower::parseHeartbeat(const std::string &line,
-                                 std::size_t &task)
+ProgressStreamFollower::parseHeartbeat(const std::string &line,
+                                       std::size_t &task)
 {
     if (line.find("\"event\":\"heartbeat\"") == std::string::npos)
         return false;
@@ -38,58 +23,6 @@ ProgressFollower::parseHeartbeat(const std::string &line,
     if (end == digits)
         return false;
     task = static_cast<std::size_t>(v);
-    return true;
-}
-
-bool
-ProgressFollower::poll()
-{
-    if (_path.empty())
-        return false;
-
-    struct stat st;
-    if (::stat(_path.c_str(), &st) != 0)
-        return false;
-    if (st.st_size < _offset) {
-        // Shrunk: a restarted worker reopened (truncated) its
-        // stream. Start over; the reopen itself is liveness.
-        rewind();
-        return true;
-    }
-    if (st.st_size == _offset)
-        return false;
-
-    std::ifstream in(_path);
-    if (!in)
-        return false;
-    in.seekg(_offset);
-
-    bool advanced = false;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (in.eof() && !line.empty()) {
-            // No trailing newline: a line still being written (or
-            // torn by a dying writer). Leave it for the next poll —
-            // or never; a torn tail must not count as liveness.
-            break;
-        }
-        _offset += static_cast<std::streamoff>(line.size()) + 1;
-        advanced = true;
-        std::size_t task;
-        if (parseHeartbeat(line, task)) {
-            _has_task = true;
-            _task = task;
-        }
-    }
-    return advanced;
-}
-
-bool
-ProgressFollower::lastHeartbeatTask(std::size_t &task) const
-{
-    if (!_has_task)
-        return false;
-    task = _task;
     return true;
 }
 
@@ -110,7 +43,7 @@ ProgressStreamFollower::feed(const char *data, std::size_t n)
         if (line.empty())
             continue;
         std::size_t task;
-        if (ProgressFollower::parseHeartbeat(line, task)) {
+        if (parseHeartbeat(line, task)) {
             _has_task = true;
             _task = task;
         }
@@ -220,13 +153,6 @@ SweepSupervisor::isQuarantined(std::size_t task) const
         if (q == task)
             return true;
     return false;
-}
-
-std::size_t
-SweepSupervisor::strikes(std::size_t task) const
-{
-    const auto it = _strikes.find(task);
-    return it == _strikes.end() ? 0 : it->second;
 }
 
 std::size_t

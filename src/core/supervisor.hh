@@ -1,25 +1,23 @@
 /**
  * @file
- * Sweep supervision: the parent-side policy that keeps a multi-
- * process sweep alive through worker crashes, hangs and poison tasks.
+ * Sweep supervision: the policy that keeps a multi-process sweep
+ * alive through worker crashes, hangs and poison tasks. The sweep
+ * service (service/sweepd.hh) is its one user — as microlib_sweepd,
+ * and embedded in ProcessShardBackend — and this module owns what it
+ * decides with:
  *
- * The supervised ProcessShardBackend no longer blocks in waitpid()
- * and gives up on the first casualty; it polls, and this module owns
- * everything the poll loop decides with:
- *
- *  - ProgressFollower tails a worker's JSONL progress stream
- *    incrementally: any newly completed line is liveness, and the
- *    last `heartbeat` event names the flat task index the worker was
- *    about to run — the task a crash or stall is blamed on. The
- *    follower only ever consumes whole lines, so a line torn by a
- *    dying writer is simply not yet visible (and a restarted worker
- *    truncating its stream rewinds the follower).
+ *  - ProgressStreamFollower reassembles a worker's JSONL stream from
+ *    its socket: any completed line is liveness, and the last
+ *    `heartbeat` event names the flat task index the worker was about
+ *    to run — the task a crash or stall is blamed on. It only ever
+ *    surfaces whole lines, so a line torn by a dying writer never
+ *    counts.
  *
  *  - SweepSupervisor turns a worker death or stall into a Verdict:
  *    restart after an exponentially backed-off delay, quarantine the
  *    blamed task first (K strikes — across restarts — and the task
- *    is excluded from the restarted worker's plan instead of sinking
- *    the sweep), or give up once the worker's retry budget is spent.
+ *    leaves the queue instead of sinking the sweep), or give up once
+ *    the worker's retry budget is spent.
  *    Quarantining resets the worker's retry budget: the budget
  *    guards against a sick host, not against a poison task that has
  *    just been removed.
@@ -44,9 +42,10 @@ namespace microlib
  *  docs/FAULT_TOLERANCE.md). */
 struct SupervisionPolicy
 {
-    /** Seconds without progress-stream growth before a worker is
-     *  declared stalled and SIGKILLed; <= 0 disables stall
-     *  detection (crash supervision still applies). */
+    /** Seconds without a byte from a lease-holding worker before it
+     *  is declared stalled and cut (and SIGKILLed, when the service
+     *  forked it); <= 0 disables stall detection (crash supervision
+     *  still applies). */
     double heartbeat_timeout = 0.0;
 
     /** Restarts allowed per worker before the sweep fails; 0 is the
@@ -66,55 +65,15 @@ struct SupervisionPolicy
 };
 
 /**
- * Incremental, torn-line-tolerant reader of one worker's JSONL
- * progress stream. poll() consumes any newly *completed* lines (a
- * trailing line without its newline stays unread until the writer
- * finishes it — or forever, if the writer died mid-write) and
- * remembers the task index of the last `heartbeat` event seen.
- */
-class ProgressFollower
-{
-  public:
-    ProgressFollower() = default;
-    explicit ProgressFollower(std::string path);
-
-    /** Read any newly completed lines. Returns true if at least one
-     *  complete line (or a stream truncation — a restarted worker
-     *  reopening its stream) was observed: the liveness signal. */
-    bool poll();
-
-    /** The task index of the last heartbeat event, if any. */
-    bool lastHeartbeatTask(std::size_t &task) const;
-
-    /** Forget stream position and blame state (worker restarted;
-     *  its writer truncates the file). */
-    void rewind();
-
-    /**
-     * Extract the "task" field of a heartbeat progress line; false
-     * for any other (or torn) line. Exposed for tests and other
-     * stream consumers.
-     */
-    static bool parseHeartbeat(const std::string &line,
-                               std::size_t &task);
-
-  private:
-    std::string _path;
-    std::streamoff _offset = 0;
-    bool _has_task = false;
-    std::size_t _task = 0;
-};
-
-/**
- * ProgressFollower's stream-transport sibling: the same whole-lines-
- * only JSONL reassembly, fed from a pipe or socket instead of a file.
- * A read() from a stream can return any byte split — half a line, a
- * line and a half — so the follower buffers raw chunks and surfaces
- * only completed lines, remembering the last heartbeat's task index
- * exactly like the file follower. The daemon runs one per worker
- * connection; EOF on the fd (read() == 0 via feedFd) is the worker-
- * death signal, and whatever sits unterminated in the buffer then is
- * a torn line: never surfaced, never counted as liveness.
+ * Whole-lines-only JSONL reassembly of one worker's stream, fed from
+ * a socket or pipe. A read() from a stream can return any byte split
+ * — half a line, a line and a half — so the follower buffers raw
+ * chunks, surfaces only completed lines, and remembers the task index
+ * of the last `heartbeat` event: the task a worker's death or stall
+ * is blamed on. The sweep service runs one per worker connection; EOF
+ * on the fd (read() == 0 via feedFd) is the worker-death signal, and
+ * whatever sits unterminated in the buffer then is a torn line: never
+ * surfaced, never counted as liveness.
  */
 class ProgressStreamFollower
 {
@@ -150,6 +109,11 @@ class ProgressStreamFollower
 
     /** Forget buffered bytes, queued lines and blame state. */
     void reset();
+
+    /** Extract the "task" field of a heartbeat progress line; false
+     *  for any other (or torn) line. */
+    static bool parseHeartbeat(const std::string &line,
+                               std::size_t &task);
 
   private:
     std::string _buf;
@@ -206,9 +170,6 @@ class SweepSupervisor
     }
 
     bool isQuarantined(std::size_t task) const;
-
-    /** Strikes recorded against @p task so far. */
-    std::size_t strikes(std::size_t task) const;
 
     /** Restarts burned by worker @p worker (quarantines reset it). */
     std::size_t retries(std::size_t worker) const;

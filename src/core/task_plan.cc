@@ -1,9 +1,11 @@
 #include "core/task_plan.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 
+#include "core/exit_codes.hh"
 #include "core/result_store.hh"
 #include "sim/fingerprint.hh"
 
@@ -177,6 +179,29 @@ TaskPlan::prefill(const ResultStore &store, SweepResult &res,
         ++filled;
     }
     return filled;
+}
+
+void
+TaskPlan::settle(std::vector<std::size_t> quarantined,
+                 std::vector<char> &done, SweepResult &res,
+                 std::vector<std::size_t> &flagged,
+                 const std::string &who) const
+{
+    std::sort(quarantined.begin(), quarantined.end());
+    for (const std::size_t q : quarantined) {
+        if (q >= _tasks.size() || done[q])
+            continue;
+        done[q] = 1;
+        const PlanTask &t = _tasks[q];
+        res.matrix(t.v).fault[t.m][t.b] = 1;
+        flagged.push_back(q);
+    }
+    for (std::size_t i = 0; i < _tasks.size(); ++i)
+        if (!done[i])
+            throw InfrastructureError(
+                who + ": sweep reported complete but has no record "
+                      "for " +
+                describe(i, ShardSpec{}));
 }
 
 std::vector<std::vector<std::size_t>>

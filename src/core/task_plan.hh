@@ -191,6 +191,21 @@ class TaskPlan
                         std::vector<char> &done) const;
 
     /**
+     * Close out a supervised execution once its records are in (the
+     * last prefill() has run): every task of @p quarantined that has
+     * no record (not set in @p done) is marked done, its cell is
+     * flagged in MatrixResult::fault and its index is appended to
+     * @p flagged, in index order. A quarantined task whose record
+     * landed anyway is simply done: the record wins. Throws
+     * InfrastructureError, prefixed with @p who, for the first task
+     * that is neither recorded nor quarantined.
+     */
+    void settle(std::vector<std::size_t> quarantined,
+                std::vector<char> &done, SweepResult &res,
+                std::vector<std::size_t> &flagged,
+                const std::string &who) const;
+
+    /**
      * Lockstep units: the pending tasks of @p shard grouped by
      * (trace slot, mechanism), i.e. the config variants of one
      * (benchmark-window, mechanism) cell that share a materialized

@@ -63,7 +63,7 @@ struct ThreadPoolBackend::State
     std::vector<std::size_t> bench_done;
     std::size_t resumed = 0;
 
-    Clock::time_point start = Clock::now();
+    Clock::time_point start;
 
     std::mutex mu;
     std::size_t next = 0;              ///< cursor into `pending`
@@ -78,7 +78,8 @@ struct ThreadPoolBackend::State
           pending(p.pendingTasks(done_mask, c.opts.shard)),
           remaining(p.pendingPerTraceSlot(done_mask, c.opts.shard)),
           bench_total(p.pendingPerBenchmark(done_mask, c.opts.shard)),
-          bench_done(p.benchmarks().size(), 0), resumed(resumed_count)
+          bench_done(p.benchmarks().size(), 0), resumed(resumed_count),
+          start(c.start)
     {
     }
 };

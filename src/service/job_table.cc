@@ -13,12 +13,12 @@ jobIdOf(const SweepSpec &spec)
     return Fingerprint::hexOf(spec.hash());
 }
 
-ServiceJob::ServiceJob(const SweepSpec &spec,
-                       const SupervisionPolicy &policy)
-    : id(jobIdOf(spec)), spec_text(spec.canonicalText()), plan(spec),
-      done(plan.size(), 0), res(plan.emptyResult()),
-      supervisor(policy)
+ServiceJob::ServiceJob(TaskPlan p, const SupervisionPolicy &policy)
+    : id(jobIdOf(p.spec())), spec_text(p.spec().canonicalText()),
+      plan(std::move(p)), done(plan.size(), 0), supervisor(policy)
 {
+    for (std::size_t i = 0; i < plan.size(); ++i)
+        _task_of.emplace(plan.resultKey(i).str(), i);
 }
 
 int
@@ -27,27 +27,69 @@ ServiceJob::exitCode() const
     return queue.quarantined().empty() ? exit_ok : exit_quarantined;
 }
 
+std::size_t
+ServiceJob::absorb(const std::vector<ResultKey> &keys)
+{
+    std::size_t added = 0;
+    for (const ResultKey &key : keys) {
+        const auto range = _task_of.equal_range(key.str());
+        for (auto it = range.first; it != range.second; ++it) {
+            if (!done[it->second]) {
+                done[it->second] = 1;
+                ++added;
+            }
+        }
+    }
+    if (added) {
+        executed += added;
+        queue.markDone(done);
+    }
+    return added;
+}
+
 JobTable::Submission
 JobTable::submit(const SweepSpec &spec, ResultStore &store,
                  const SupervisionPolicy &policy)
 {
-    const std::string id = jobIdOf(spec);
-    const auto it = _jobs.find(id);
+    const auto it = _jobs.find(jobIdOf(spec));
     if (it != _jobs.end())
         return {it->second.get(), true};
+    const TaskPlan plan(spec);
+    return {&add(plan, std::vector<char>(plan.size(), 0), store,
+                 policy),
+            false};
+}
 
-    auto job = std::make_unique<ServiceJob>(spec, policy);
-    // Per-task dedup: anything the global store already holds — from
-    // an earlier job or an offline sweep merged in — fills its slot
-    // now and never queues.
-    job->prefilled = job->plan.prefill(store, job->res, job->done);
-    job->queue.reset(job->plan.pendingTasks(job->done, ShardSpec{}));
+ServiceJob &
+JobTable::add(const TaskPlan &plan, std::vector<char> done,
+              ResultStore &store, const SupervisionPolicy &policy)
+{
+    const auto it = _jobs.find(jobIdOf(plan.spec()));
+    if (it != _jobs.end())
+        return *it->second;
+    auto job = std::make_unique<ServiceJob>(plan, policy);
+    job->done = std::move(done);
+    // Per-task dedup: anything the store already holds — from an
+    // earlier job or an offline sweep merged in — counts as done now
+    // and never queues.
+    SweepResult scratch = plan.emptyResult();
+    job->prefilled = plan.prefill(store, scratch, job->done);
+    job->queue.reset(plan.pendingTasks(job->done, ShardSpec{}));
     job->completed = job->queue.done();
-    ServiceJob *raw = job.get();
-    _jobs.emplace(id, std::move(job));
-    _order.push_back(id);
+    ServiceJob &ref = *job;
+    _order.push_back(job->id);
+    _jobs.emplace(job->id, std::move(job));
     sweepCompleted();
-    return {raw, false};
+    return ref;
+}
+
+void
+JobTable::absorb(const std::vector<ResultKey> &keys)
+{
+    if (keys.empty())
+        return;
+    for (auto &kv : _jobs)
+        kv.second->absorb(keys);
 }
 
 ServiceJob *

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/lease.hh"
@@ -41,6 +42,7 @@ namespace microlib
 {
 
 class ResultStore;
+struct ResultKey;
 
 /** One submitted sweep and its scheduling state. */
 struct ServiceJob
@@ -49,14 +51,13 @@ struct ServiceJob
     std::string spec_text; ///< canonical `.sweep` text
     TaskPlan plan;
     std::vector<char> done; ///< per-task: record known to the store
-    SweepResult res;        ///< prefill target (slots; not served)
     LeaseQueue queue;
     SweepSupervisor supervisor;
     std::size_t prefilled = 0; ///< tasks deduped from the store
     std::size_t executed = 0;  ///< records merged from workers
     bool completed = false;
 
-    ServiceJob(const SweepSpec &spec, const SupervisionPolicy &policy);
+    ServiceJob(TaskPlan plan, const SupervisionPolicy &policy);
 
     std::size_t total() const { return plan.size(); }
     std::size_t filled() const { return prefilled + executed; }
@@ -64,6 +65,15 @@ struct ServiceJob
     /** Exit code a client of this job should report once done:
      *  exit_ok, or exit_quarantined if any cell was excluded. */
     int exitCode() const;
+
+    /** Records under @p keys just landed in the store: mark their
+     *  tasks done (counted as executed) and drop them from the
+     *  queue, whoever held them. Returns the newly done count. */
+    std::size_t absorb(const std::vector<ResultKey> &keys);
+
+  private:
+    /** ResultKey::str() -> task index, for absorb(). */
+    std::unordered_multimap<std::string, std::size_t> _task_of;
 };
 
 /** The daemon's job registry; owns every job. */
@@ -91,6 +101,21 @@ class JobTable
     Submission submit(const SweepSpec &spec, ResultStore &store,
                       const SupervisionPolicy &policy);
 
+    /**
+     * Register @p plan as a new job directly, with no spec text in
+     * between (an embedded service: programmatic plans work too).
+     * Tasks set in @p done count as finished and never queue; the
+     * rest prefill from @p store (counted in `prefilled`) or queue.
+     * A job with the same id is returned unchanged.
+     */
+    ServiceJob &add(const TaskPlan &plan, std::vector<char> done,
+                    ResultStore &store,
+                    const SupervisionPolicy &policy);
+
+    /** Records under @p keys just landed in the store: every job
+     *  absorbs the ones it plans (ServiceJob::absorb). */
+    void absorb(const std::vector<ResultKey> &keys);
+
     /** The job named @p id, or nullptr. */
     ServiceJob *find(const std::string &id);
 
@@ -109,10 +134,6 @@ class JobTable
     void sweepCompleted();
 
     std::size_t size() const { return _jobs.size(); }
-
-    /** Job ids in submission order (status listing). */
-    std::vector<std::string> ids() const { return {_order.begin(),
-                                                   _order.end()}; }
 
   private:
     std::size_t _max_done;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "core/exit_codes.hh"
@@ -46,6 +47,16 @@ SweepService::SweepService(SweepServiceOptions opts)
     _policy.max_worker_retries = _opts.max_worker_retries;
 }
 
+SweepService::SweepService(const SupervisionPolicy &policy,
+                           std::size_t lease_size, ResultStore &store,
+                           ProgressWriter *progress)
+    : _policy(policy), _store(&store), _progress(progress)
+{
+    _opts.lease_size = lease_size;
+    _opts.heartbeat_timeout = policy.heartbeat_timeout;
+    ignoreSigpipe();
+}
+
 SweepService::~SweepService()
 {
     for (Conn &c : _conns)
@@ -66,11 +77,14 @@ SweepService::start(std::string *error)
             *error = "a --store path is required";
         return false;
     }
-    _store = std::make_unique<ResultStore>(
+    _own_store = std::make_unique<ResultStore>(
         _opts.store_path, _opts.read_only
                               ? ResultStore::Mode::ReadOnly
                               : ResultStore::Mode::ReadWrite);
-    _progress = std::make_unique<ProgressWriter>(_opts.progress_path);
+    _store = _own_store.get();
+    _own_progress =
+        std::make_unique<ProgressWriter>(_opts.progress_path);
+    _progress = _own_progress.get();
     _listen_fd = listenOn(_opts.listen, error);
     if (_listen_fd < 0)
         return false;
@@ -142,73 +156,9 @@ SweepService::run()
     inform("microlib_sweepd: listening on ", _address, " (store ",
            _opts.store_path, _opts.read_only ? ", read-only)" : ")");
 
-    while (!_stop.load()) {
-        std::vector<pollfd> fds;
-        fds.push_back({_listen_fd, POLLIN, 0});
-        for (Conn &c : _conns)
-            fds.push_back({c.fd, POLLIN, 0});
-
-        // Short timeout: bounds stall-detection latency and the
-        // requestStop() response time.
-        const int rc = ::poll(fds.data(), fds.size(), 200);
-        if (rc < 0 && errno != EINTR)
-            break;
-
-        if (rc > 0 && (fds[0].revents & POLLIN))
-            acceptNew();
-
-        std::size_t i = 1;
-        for (Conn &c : _conns) {
-            if (i >= fds.size())
-                break;
-            const short rev = fds[i++].revents;
-            if (c.dead || !(rev & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            const int n = c.stream.feedFd(c.fd);
-            if (n > 0) {
-                c.last_activity = Clock::now();
-                for (const std::string &line : c.stream.takeLines())
-                    handleLine(c, line);
-            } else if (n == 0 ||
-                       (errno != EAGAIN && errno != EINTR)) {
-                // EOF (or a hard error): the peer is gone. A worker
-                // holding a lease died mid-sweep.
-                if (c.is_worker && c.lease_count > 0)
-                    workerFailed(c, false, "connection closed");
-                else if (c.is_worker)
-                    progress(ProgressEvent("worker")
-                                 .field("name", c.name)
-                                 .field("state", "detach"));
-                c.dead = true;
-            }
-        }
-
-        // Stall scan: a worker that holds a lease but has sent no
-        // bytes (heartbeats included) for the timeout is wedged; cut
-        // it — its tasks requeue, and if it ever wakes up its late
-        // records still merge on its next complete (record-wins).
-        if (_opts.heartbeat_timeout > 0) {
-            const auto now = Clock::now();
-            for (Conn &c : _conns) {
-                if (c.dead || !c.is_worker || c.lease_count == 0)
-                    continue;
-                if (secondsSince(c.last_activity, now) >
-                    _opts.heartbeat_timeout) {
-                    workerFailed(c, true, "heartbeat timeout");
-                    c.dead = true;
-                }
-            }
-        }
-
-        for (auto it = _conns.begin(); it != _conns.end();) {
-            if (it->dead) {
-                if (it->fd >= 0)
-                    ::close(it->fd);
-                it = _conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
+    // Short timeout: bounds stall-detection latency and the
+    // requestStop() response time.
+    while (!_stop.load() && step(200)) {
     }
 
     progress(ProgressEvent("shutdown"));
@@ -216,16 +166,134 @@ SweepService::run()
     return exit_ok;
 }
 
+bool
+SweepService::step(int timeout_ms)
+{
+    std::vector<pollfd> fds;
+    if (_listen_fd >= 0)
+        fds.push_back({_listen_fd, POLLIN, 0});
+    const std::size_t first = fds.size();
+    for (Conn &c : _conns)
+        fds.push_back({c.fd, POLLIN, 0});
+
+    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    if (rc < 0 && errno != EINTR)
+        return false;
+
+    if (rc > 0 && first > 0 && (fds[0].revents & POLLIN))
+        acceptNew();
+
+    std::size_t i = first;
+    for (Conn &c : _conns) {
+        if (i >= fds.size())
+            break; // accepted this turn: polled from the next one
+        const short rev = fds[i++].revents;
+        if (c.dead || !(rev & (POLLIN | POLLHUP | POLLERR)))
+            continue;
+        const int n = c.stream.feedFd(c.fd);
+        if (n > 0) {
+            c.last_activity = Clock::now();
+            for (const std::string &line : c.stream.takeLines())
+                handleLine(c, line);
+        } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+            // EOF (or a hard error): the peer is gone.
+            c.dead = true;
+        }
+    }
+
+    // Stall scan: a worker that holds a lease but has sent no bytes
+    // (heartbeats included) for the timeout is wedged; cut it — its
+    // tasks requeue, and whatever it flushed to its store before
+    // going silent is salvaged below.
+    if (_opts.heartbeat_timeout > 0) {
+        const auto now = Clock::now();
+        for (Conn &c : _conns)
+            if (!c.dead && c.is_worker && c.lease_count > 0 &&
+                secondsSince(c.last_activity, now) >
+                    _opts.heartbeat_timeout)
+                c.dead = c.cut = true;
+    }
+
+    // Reap. A worker that went away holding a lease failed mid-
+    // sweep; an adopted worker has no business going away at all.
+    // (A failed send marks a connection dead too, so this is the one
+    // place a lease can be lost.)
+    for (auto it = _conns.begin(); it != _conns.end();) {
+        Conn &c = *it;
+        if (!c.dead) {
+            ++it;
+            continue;
+        }
+        if (c.adopted || (c.is_worker && c.lease_count > 0))
+            workerFailed(c);
+        else if (c.is_worker)
+            progress(ProgressEvent("worker")
+                         .field("name", c.name)
+                         .field("state", "detach"));
+        if (c.fd >= 0)
+            ::close(c.fd);
+        it = _conns.erase(it);
+    }
+    return true;
+}
+
+const ServiceJob &
+SweepService::submit(const TaskPlan &plan,
+                     const std::vector<char> &done)
+{
+    ServiceJob &job = _jobs.add(plan, done, *_store, _policy);
+    _embedded_job = job.id;
+    progress(ProgressEvent("job")
+                 .field("job", job.id)
+                 .field("dedup", "new")
+                 .field("total", std::uint64_t(job.total()))
+                 .field("prefilled", std::uint64_t(job.prefilled)));
+    return job;
+}
+
+void
+SweepService::adoptWorker(int fd, std::size_t slot,
+                          ProgressWriter *relay)
+{
+    Conn c;
+    c.fd = fd;
+    c.id = slot;
+    c.adopted = true;
+    c.relay = relay;
+    c.name = "slot" + std::to_string(slot);
+    c.job_id = _embedded_job;
+    c.last_activity = Clock::now();
+    _conns.push_back(std::move(c));
+}
+
+std::vector<SweepService::SlotVerdict>
+SweepService::takeSlotVerdicts()
+{
+    std::vector<SlotVerdict> out;
+    out.swap(_slot_verdicts);
+    return out;
+}
+
+void
+SweepService::closeInheritedFds()
+{
+    for (Conn &c : _conns)
+        if (c.fd >= 0)
+            ::close(c.fd);
+}
+
 void
 SweepService::handleLine(Conn &c, const std::string &line)
 {
     // Worker progress passthrough: relay verbatim into the daemon's
-    // stream. The connection's ProgressStreamFollower has already
-    // recorded any heartbeat as blame evidence.
+    // stream (an adopted worker's into its own). The connection's
+    // ProgressStreamFollower has already recorded any heartbeat as
+    // blame evidence.
     std::string kind;
     if (protocolKind(line, "event", kind)) {
-        if (_progress)
-            _progress->writeLine(line);
+        ProgressWriter *out = c.adopted ? c.relay : _progress;
+        if (out)
+            out->writeLine(line);
         return;
     }
     if (!protocolKind(line, "cmd", kind)) {
@@ -487,14 +555,44 @@ SweepService::cmdLease(Conn &c)
 }
 
 void
-SweepService::absorbWorkerStore(Conn &c, ServiceJob &job)
+SweepService::absorbWorkerStore(Conn &c)
 {
-    if (!c.store_path.empty())
-        _store->merge(c.store_path);
-    const std::size_t filled =
-        job.plan.prefill(*_store, job.res, job.done);
-    job.executed += filled;
-    job.queue.markDone(job.done);
+    if (c.store_path.empty())
+        return;
+    std::vector<ResultKey> keys;
+    _store->merge(c.store_path, &_merged[c.store_path], &keys);
+    _jobs.absorb(keys);
+}
+
+void
+SweepService::judge(ServiceJob &job, const Conn &c,
+                    const WorkerFailure &f, bool gone)
+{
+    const SupervisionVerdict verdict = job.supervisor.decide(f);
+    warn("sweep service: worker ", c.name, ": ", verdict.why);
+    if (verdict.quarantined && job.queue.quarantine(verdict.task))
+        progress(ProgressEvent("quarantine")
+                     .field("job", job.id)
+                     .field("task", std::uint64_t(verdict.task))
+                     .field("desc", job.plan.describe(verdict.task,
+                                                      ShardSpec{})));
+    if (c.adopted)
+        _slot_verdicts.push_back({c.id, gone, verdict});
+}
+
+void
+SweepService::settleJobs(ServiceJob &job)
+{
+    // Read the job before sweepCompleted(): eviction may free it.
+    if (!job.completed && job.queue.done())
+        progress(ProgressEvent("job_done")
+                     .field("job", job.id)
+                     .field("executed", std::uint64_t(job.executed))
+                     .field("quarantined",
+                            std::uint64_t(
+                                job.queue.quarantined().size()))
+                     .field("exit", std::uint64_t(job.exitCode())));
+    _jobs.sweepCompleted();
 }
 
 void
@@ -515,7 +613,7 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
     std::uint64_t ok = 1;
     jsonFindU64(line, "ok", ok);
 
-    absorbWorkerStore(c, *job);
+    absorbWorkerStore(c);
 
     // Whatever the worker reported but did not record failed on its
     // watch: requeue for another worker, and charge a strike to the
@@ -529,91 +627,57 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
             unrecorded.push_back(t);
     }
     if (!unrecorded.empty() || ok == 0) {
-        std::string detail;
-        jsonFindString(line, "error", detail);
-        if (detail.empty())
-            detail = std::to_string(unrecorded.size()) +
-                     " task(s) unrecorded";
         WorkerFailure f;
         f.worker = c.id;
-        f.stalled = false;
-        f.detail = detail;
+        jsonFindString(line, "error", f.detail);
+        if (f.detail.empty())
+            f.detail = std::to_string(unrecorded.size()) +
+                       " task(s) unrecorded";
         f.has_task = c.stream.lastHeartbeatTask(f.task);
-        const SupervisionVerdict verdict =
-            job->supervisor.decide(f);
-        warn("microlib_sweepd: worker ", c.name, ": ", verdict.why);
-        if (verdict.quarantined &&
-            job->queue.quarantine(verdict.task))
-            progress(ProgressEvent("quarantine")
-                         .field("job", job->id)
-                         .field("task",
-                                std::uint64_t(verdict.task))
-                         .field("desc",
-                                job->plan.describe(verdict.task,
-                                                   ShardSpec{})));
+        judge(*job, c, f, false);
     }
 
     c.lease_count = 0;
-    _jobs.sweepCompleted();
-    if (job->completed)
-        progress(ProgressEvent("job_done")
-                     .field("job", job->id)
-                     .field("executed",
-                            std::uint64_t(job->executed))
-                     .field("quarantined",
-                            std::uint64_t(
-                                job->queue.quarantined().size()))
-                     .field("exit",
-                            std::uint64_t(job->exitCode())));
+    settleJobs(*job);
     send(c, ProgressEvent("reply", "complete")
                 .field("ok", std::uint64_t{1})
                 .str());
 }
 
 void
-SweepService::workerFailed(Conn &c, bool stalled,
-                           const std::string &detail)
+SweepService::workerFailed(Conn &c)
 {
     ServiceJob *job = _jobs.find(c.job_id);
     if (!job) {
-        c.lease_count = 0;
+        if (c.adopted)
+            _slot_verdicts.push_back({c.id, true, {}});
         return;
     }
     // Salvage first: every record the worker flushed before dying
     // completes its task — only the genuinely unfinished requeue.
-    absorbWorkerStore(c, *job);
+    absorbWorkerStore(c);
     const std::vector<std::size_t> requeued =
         job->queue.release(ownerKey(c));
     WorkerFailure f;
     f.worker = c.id;
-    f.stalled = stalled;
-    f.detail = detail;
-    f.has_task = c.stream.lastHeartbeatTask(f.task);
-    const SupervisionVerdict verdict = job->supervisor.decide(f);
-    warn("microlib_sweepd: worker ", c.name, ": ", verdict.why);
-    if (verdict.quarantined && job->queue.quarantine(verdict.task))
-        progress(ProgressEvent("quarantine")
-                     .field("job", job->id)
-                     .field("task", std::uint64_t(verdict.task))
-                     .field("desc",
-                            job->plan.describe(verdict.task,
-                                               ShardSpec{})));
+    f.stalled = c.cut;
+    if (c.cut) {
+        char detail[64];
+        std::snprintf(detail, sizeof(detail), "no bytes for %gs",
+                      _opts.heartbeat_timeout);
+        f.detail = detail;
+    } else {
+        f.detail = "connection closed";
+    }
+    // Between leases the last heartbeat names a finished task.
+    f.has_task = c.lease_count > 0 && c.stream.lastHeartbeatTask(f.task);
+    judge(*job, c, f, true);
     progress(ProgressEvent("worker")
                  .field("name", c.name)
-                 .field("state", stalled ? "stalled" : "died")
+                 .field("state", c.cut ? "stalled" : "died")
                  .field("requeued", std::uint64_t(requeued.size())));
     c.lease_count = 0;
-    _jobs.sweepCompleted();
-    if (job->completed)
-        progress(ProgressEvent("job_done")
-                     .field("job", job->id)
-                     .field("executed",
-                            std::uint64_t(job->executed))
-                     .field("quarantined",
-                            std::uint64_t(
-                                job->queue.quarantined().size()))
-                     .field("exit",
-                            std::uint64_t(job->exitCode())));
+    settleJobs(*job);
 }
 
 } // namespace microlib

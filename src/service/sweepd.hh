@@ -31,6 +31,15 @@
  * The class is embeddable (tests run it on a thread and stop it with
  * requestStop()); tools/microlib_sweepd/main.cc is the thin CLI
  * wrapper that adds flags and signal handling.
+ *
+ * ProcessShardBackend embeds the same core without a listening
+ * socket: it submits its TaskPlan in process, hands each forked
+ * worker's end of a private socketpair to adoptWorker(), and drives
+ * the loop with step(). Adopted workers are supervised per *slot*
+ * (their connection id is the slot, so the retry budget survives a
+ * restart), and every ruling on them is queued for the backend
+ * (takeSlotVerdicts()), which owns the process-lifetime duties:
+ * SIGKILL, reap, restart after the backoff, give up.
  */
 
 #ifndef MICROLIB_SERVICE_SWEEPD_HH
@@ -40,6 +49,7 @@
 #include <chrono>
 #include <cstddef>
 #include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +95,13 @@ class SweepService
 {
   public:
     explicit SweepService(SweepServiceOptions opts);
+
+    /** Embedded service: no listening socket and no start(); merges
+     *  worker records into the caller's @p store and writes its own
+     *  events to @p progress (nullptr = none). */
+    SweepService(const SupervisionPolicy &policy, std::size_t lease_size,
+                 ResultStore &store, ProgressWriter *progress);
+
     ~SweepService();
 
     SweepService(const SweepService &) = delete;
@@ -102,8 +119,43 @@ class SweepService
      *  requestStop() or a shutdown command. */
     int run();
 
+    /** One loop turn: wait up to @p timeout_ms for input, serve
+     *  every ready connection, cut lease holders silent past the
+     *  heartbeat timeout, and reap closed connections. False when
+     *  poll(2) itself failed. */
+    bool step(int timeout_ms);
+
     /** Stop the loop from another thread or a signal handler. */
     void requestStop() { _stop.store(true); }
+
+    /** Register @p plan as a job in process (embedded use): the plan
+     *  never travels as spec text, so programmatic plans work. Tasks
+     *  set in @p done are the caller's already. */
+    const ServiceJob &submit(const TaskPlan &plan,
+                             const std::vector<char> &done);
+
+    /** Serve the connected socket @p fd (now owned) as the worker of
+     *  slot @p slot; its progress events relay into @p relay
+     *  (nullptr = dropped). */
+    void adoptWorker(int fd, std::size_t slot, ProgressWriter *relay);
+
+    /** A supervision ruling on an adopted worker. */
+    struct SlotVerdict
+    {
+        std::size_t slot = 0;
+        /** The connection is closed: the worker died or was cut for
+         *  silence, so its process must be killed and reaped. */
+        bool gone = false;
+        SupervisionVerdict verdict;
+    };
+
+    /** Rulings on adopted workers since the last call, in order. */
+    std::vector<SlotVerdict> takeSlotVerdicts();
+
+    /** In a freshly forked child: close the inherited descriptors of
+     *  every connection (the parent's ends of the siblings' sockets)
+     *  without touching any other state. */
+    void closeInheritedFds();
 
   private:
     struct Conn
@@ -112,12 +164,15 @@ class SweepService
         std::size_t id = 0;           ///< stable per-connection
         ProgressStreamFollower stream; ///< line reassembly + blame
         bool is_worker = false;        ///< sent a hello
+        bool adopted = false;          ///< embedded slot worker
+        ProgressWriter *relay = nullptr; ///< where its events go
         std::string name;              ///< worker display name
         std::string store_path;        ///< worker's store (hello)
         std::string job_id;            ///< job of the current lease
         std::size_t lease_count = 0;   ///< tasks currently held
         std::chrono::steady_clock::time_point last_activity;
         bool dead = false;             ///< reap after this loop turn
+        bool cut = false;              ///< dead for heartbeat silence
     };
 
     std::string ownerKey(const Conn &c) const;
@@ -132,15 +187,22 @@ class SweepService
     void cmdLease(Conn &c);
     void cmdComplete(Conn &c, const std::string &line);
 
-    /** Merge @p c's store and absorb new records into @p job:
-     *  prefill, count executed, drop finished tasks from the
-     *  queue. */
-    void absorbWorkerStore(Conn &c, ServiceJob &job);
+    /** Merge the part of @p c's store not merged yet; every job
+     *  absorbs the records it plans. */
+    void absorbWorkerStore(Conn &c);
 
-    /** A lease-holding worker died/stalled/failed: merge what it
+    /** A dead worker held a lease (or was adopted): merge what it
      *  flushed, requeue the rest, strike the blamed task. */
-    void workerFailed(Conn &c, bool stalled,
-                      const std::string &detail);
+    void workerFailed(Conn &c);
+
+    /** Rule on @p f under @p job's strike policy: log, execute a
+     *  quarantine, queue the ruling if @p c is adopted. */
+    void judge(ServiceJob &job, const Conn &c, const WorkerFailure &f,
+               bool gone);
+
+    /** Mark finished jobs and emit job_done for @p job if it just
+     *  finished. @p job may be evicted: do not touch it after. */
+    void settleJobs(ServiceJob &job);
 
     void statusReply(Conn &c, ServiceJob &job);
     bool send(Conn &c, const std::string &line);
@@ -148,10 +210,17 @@ class SweepService
 
     SweepServiceOptions _opts;
     SupervisionPolicy _policy;
-    std::unique_ptr<ResultStore> _store;
-    std::unique_ptr<ProgressWriter> _progress;
+    std::unique_ptr<ResultStore> _own_store;
+    ResultStore *_store = nullptr;
+    std::unique_ptr<ProgressWriter> _own_progress;
+    ProgressWriter *_progress = nullptr;
     JobTable _jobs;
     std::list<Conn> _conns;
+    /** Bytes of each worker store (by path) already merged: a store
+     *  is read once, however many leases its worker completes. */
+    std::map<std::string, std::uint64_t> _merged;
+    std::vector<SlotVerdict> _slot_verdicts;
+    std::string _embedded_job; ///< submit(plan)'s job id
     int _listen_fd = -1;
     std::string _address;
     std::size_t _next_conn_id = 0;

@@ -54,7 +54,15 @@ runWorkerLoop(const WorkerOptions &wopts)
              error);
         return exit_infrastructure;
     }
+    return runWorker(fd, wopts, nullptr);
+}
+
+int
+runWorker(int fd, const WorkerOptions &wopts, const TaskPlan *inherited)
+{
+    ignoreSigpipe();
     LineSocket sock(fd);
+    std::string error;
 
     const std::string name =
         wopts.name.empty() ? defaultName() : wopts.name;
@@ -78,7 +86,10 @@ runWorkerLoop(const WorkerOptions &wopts)
                       .field("store", store_path)
                       .str(),
                   reply)) {
-        warn("worker: daemon hung up during hello");
+        // An embedded service may finish the sweep before a restarted
+        // worker says hello; only a daemon's hangup is news.
+        if (!inherited)
+            warn("worker: daemon hung up during hello");
         return exit_infrastructure;
     }
     std::uint64_t ok = 0;
@@ -108,15 +119,17 @@ runWorkerLoop(const WorkerOptions &wopts)
     const ExecutionContext ctx{engine, opts, &progress};
 
     std::map<std::string, std::unique_ptr<TaskPlan>> plans;
-    inform("worker ", name, ": attached to ", wopts.service,
-           " (store ", store_path, ")");
+    if (!inherited)
+        inform("worker ", name, ": attached to ", wopts.service,
+               " (store ", store_path, ")");
 
     for (;;) {
         if (!exchange(sock, ProgressEvent("cmd", "lease").str(),
                       reply)) {
             // The daemon closing the socket between leases is the
             // normal end of service (shutdown after drain).
-            inform("worker ", name, ": daemon closed; exiting");
+            if (!inherited)
+                inform("worker ", name, ": daemon closed; exiting");
             return exit_ok;
         }
         std::vector<std::size_t> tasks;
@@ -135,7 +148,7 @@ runWorkerLoop(const WorkerOptions &wopts)
             return exit_infrastructure;
         }
         auto plan_it = plans.find(job_id);
-        if (plan_it == plans.end()) {
+        if (!inherited && plan_it == plans.end()) {
             std::string spec_text;
             SweepSpec spec;
             if (!jsonFindString(reply, "spec", spec_text) ||
@@ -148,7 +161,7 @@ runWorkerLoop(const WorkerOptions &wopts)
                                    std::make_unique<TaskPlan>(spec))
                           .first;
         }
-        const TaskPlan &plan = *plan_it->second;
+        const TaskPlan &plan = inherited ? *inherited : *plan_it->second;
 
         // Execute exactly the leased tasks: everything else is
         // "done" as far as this lease is concerned. Records this

@@ -17,8 +17,7 @@
  * While executing, the worker's ProgressWriter streams the standard
  * JSONL events over the daemon socket itself (the fd sink): the
  * daemon relays them into its progress file and uses the heartbeats
- * as blame evidence, exactly as the process-shard supervisor tails
- * per-shard files. One ExperimentEngine lives across all leases, so
+ * as blame evidence. One ExperimentEngine lives across all leases, so
  * traces (and the shared trace arena, if MICROLIB_TRACE_DIR is set)
  * stay warm from lease to lease.
  */
@@ -31,6 +30,8 @@
 
 namespace microlib
 {
+
+class TaskPlan;
 
 /** Worker knobs (`microlib_sweep --worker` flags map onto these). */
 struct WorkerOptions
@@ -52,6 +53,17 @@ struct WorkerOptions
  * mismatch), or vanishes mid-lease.
  */
 int runWorkerLoop(const WorkerOptions &opts);
+
+/**
+ * The same loop over an already connected socket @p fd (owned and
+ * closed): what runWorkerLoop runs once connected, and what an
+ * embedded service's forked workers run over their socketpair.
+ * @p inherited, when non-null, is the plan of every leased job — a
+ * forked worker shares its parent's plan, so the spec text of the
+ * lease reply is not parsed and programmatic plans work.
+ */
+int runWorker(int fd, const WorkerOptions &opts,
+              const TaskPlan *inherited);
 
 } // namespace microlib
 

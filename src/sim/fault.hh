@@ -4,7 +4,7 @@
  *
  * Fault tolerance that is only exercised by real crashes is fault
  * tolerance that is never exercised. The FaultPlan makes every
- * recovery path of the supervised ProcessShardBackend provable on
+ * recovery path of the supervised process backend provable on
  * demand: the MICROLIB_FAULT environment variable names exact flat
  * task indices at which a worker process must die or wedge, and the
  * execution backends call FaultInjector::checkpoint(task) immediately
@@ -21,16 +21,16 @@
  *   crash@7:99   crash at task 7 on (effectively) every encounter —
  *                the poison-task shape the quarantine logic exists for
  *
- * "First N encounters" is counted across worker restarts when
+ * "First N encounters" is counted across processes when
  * MICROLIB_FAULT_STATE names a state file: every firing appends one
  * line to it (flushed before the fault acts), and a clause whose
- * firing count has reached <count> no longer triggers. The supervised
- * ProcessShardBackend points each worker at a per-shard state file
- * derived from its store path when the variable is unset, so
- * `crash@7:1` means exactly one crash followed by a clean resumed
- * rerun — the recovery proof CI runs. Without a state file (plain
- * in-process runs) counts are per process, so every restarted worker
- * re-fires: the shape the quarantine tests use.
+ * firing count has reached <count> no longer triggers. When the
+ * variable is unset, ProcessShardBackend points every worker at one
+ * state file per sweep, derived from the store path, so `crash@7:1`
+ * fires exactly once no matter which worker draws task 7 or how often
+ * workers restart: one crash, then a clean recovery — the proof CI
+ * runs. Without a state file (plain in-process runs) counts are per
+ * process.
  *
  * The injector is completely inert — not even an env lookup on the
  * task path — unless MICROLIB_FAULT is set, and it never touches

@@ -462,6 +462,45 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
     EXPECT_EQ(rc1, exit_ok);
 }
 
+TEST(SweepService, StoreHoldsOneLinePerRecordAfterManyLeases)
+{
+    // Four one-task leases to one worker: each completion must merge
+    // only what the worker appended since the last one, so the
+    // daemon's store ends with exactly one line per record, not the
+    // 1 + 2 + 3 + 4 lines of re-merging the whole worker store.
+    const SweepSpec spec = parseSpec();
+    const TaskPlan plan(spec);
+    ServiceFixture fix("lines", /*lease_size=*/1);
+    ASSERT_TRUE(fix.service);
+
+    WorkerOptions w;
+    w.service = fix.service->address();
+    w.store_path = tmpPath("lines_w.store");
+    std::remove(w.store_path.c_str());
+    w.idle_poll_s = 0.02;
+    int rc = -1;
+    std::thread t([&] { rc = runWorkerLoop(w); });
+
+    ServiceBackend backend(fix.service->address(), 0.02);
+    EngineOptions client_opts;
+    client_opts.backend = &backend;
+    ExperimentEngine client_engine(client_opts);
+    client_engine.runPlan(plan);
+    EXPECT_EQ(client_engine.lastRun().executed, plan.size());
+
+    fix.shutdown();
+    t.join();
+    EXPECT_EQ(rc, exit_ok);
+
+    std::ifstream in(fix.opts.store_path);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    EXPECT_EQ(lines, plan.size());
+    EXPECT_EQ(countEvents(fix.opts.progress_path, "lease"),
+              plan.size());
+}
+
 TEST(SweepService, StrikesQuarantineAPoisonTask)
 {
     const SweepSpec spec = parseSpec();

@@ -4,7 +4,8 @@
  *  end-to-end recovery guarantees — a worker crashed or wedged by a
  *  deterministic FaultPlan restarts, resumes, and merges a result
  *  bit-identical to an undisturbed run; a poison task is quarantined
- *  after K strikes and the rest of the sweep completes. */
+ *  after K strikes and the rest of the sweep completes; a spent retry
+ *  budget fails the sweep with its records kept for the rerun. */
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/exit_codes.hh"
 #include "core/process_shard_backend.hh"
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
@@ -61,19 +63,16 @@ struct EnvGuard
     const char *_name;
 };
 
-/** Remove the derived per-worker files a supervised run creates (and
- *  a failed earlier test may have left behind). */
+/** Remove the derived files a supervised run creates (and a failed
+ *  earlier test may have left behind). */
 void
 cleanWorkerFiles(const std::string &store, std::size_t nshards)
 {
     std::remove(store.c_str());
-    for (std::size_t i = 0; i < nshards; ++i) {
-        const std::string shard =
-            ProcessShardBackend::shardStorePath(store, i, nshards);
-        std::remove(shard.c_str());
-        std::remove((shard + ".progress").c_str());
-        std::remove((shard + ".faultstate").c_str());
-    }
+    std::remove((store + ".faultstate").c_str());
+    for (std::size_t i = 0; i < nshards; ++i)
+        std::remove(ProcessShardBackend::shardStorePath(store, i, nshards)
+                        .c_str());
 }
 
 /** Bit-identity over everything the store persists. */
@@ -165,67 +164,6 @@ TEST(FaultPlan, RejectsMalformedInput)
     EXPECT_FALSE(FaultPlan::parse("crash@1:0", plan, &error));
     EXPECT_FALSE(FaultPlan::parse("crash@1,hang@1", plan, &error));
     EXPECT_NE(error.find("duplicate"), std::string::npos);
-}
-
-// ---------------------------------------------------------------
-// ProgressFollower: torn-line tolerance, heartbeat extraction
-// ---------------------------------------------------------------
-
-TEST(ProgressFollower, ConsumesOnlyCompleteLines)
-{
-    const std::string path = tmpPath("follower.jsonl");
-    std::remove(path.c_str());
-
-    ProgressFollower follower(path);
-    EXPECT_FALSE(follower.poll()); // no file yet
-
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "{\"event\":\"heartbeat\",\"task\":7}\n";
-        out << "{\"event\":\"heartbeat\",\"task\":9"; // torn: no '\n'
-        out.flush();
-    }
-    std::size_t task = 0;
-    EXPECT_TRUE(follower.poll()); // the complete line is liveness...
-    ASSERT_TRUE(follower.lastHeartbeatTask(task));
-    EXPECT_EQ(task, 7u); // ...but the torn line is invisible
-    EXPECT_FALSE(follower.poll()); // and not liveness either
-
-    { // the writer finishes the line: now it counts
-        std::ofstream out(path, std::ios::app);
-        out << ",\"x\":1}\n";
-        out.flush();
-    }
-    EXPECT_TRUE(follower.poll());
-    ASSERT_TRUE(follower.lastHeartbeatTask(task));
-    EXPECT_EQ(task, 9u);
-
-    { // restarted worker: truncate-and-rewrite rewinds the follower
-        std::ofstream out(path, std::ios::trunc);
-        out << "{\"event\":\"heartbeat\",\"task\":2}\n";
-        out.flush();
-    }
-    EXPECT_TRUE(follower.poll()); // the shrink itself
-    EXPECT_TRUE(follower.poll()); // the fresh stream's line
-    ASSERT_TRUE(follower.lastHeartbeatTask(task));
-    EXPECT_EQ(task, 2u);
-
-    std::remove(path.c_str());
-}
-
-TEST(ProgressFollower, ParsesOnlyHeartbeats)
-{
-    std::size_t task = 99;
-    EXPECT_TRUE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"heartbeat\",\"task\":42,\"bench\":\"swim\"}",
-        task));
-    EXPECT_EQ(task, 42u);
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"run\",\"task\":42}", task));
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"heartbeat\",\"bench\":\"swim\"}", task));
-    EXPECT_FALSE(ProgressFollower::parseHeartbeat(
-        "{\"event\":\"heartbeat\",\"task\":", task));
 }
 
 // ---------------------------------------------------------------
@@ -461,7 +399,7 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
 
         ResultStore store(path);
         ProcessShardBackend backend(
-            ProcessShardOptions{2, threads, false});
+            ProcessShardOptions{2, threads});
         EngineOptions opts;
         opts.threads = 1;
         opts.store = &store;
@@ -491,7 +429,7 @@ TEST(SupervisedSweep, HangIsDetectedKilledAndRecovered)
     cleanWorkerFiles(path, 2);
 
     ResultStore store(path);
-    ProcessShardBackend backend(ProcessShardOptions{2, 2, false});
+    ProcessShardBackend backend(ProcessShardOptions{2, 2});
     EngineOptions opts;
     opts.threads = 1;
     opts.store = &store;
@@ -518,7 +456,7 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     cleanWorkerFiles(path, 2);
 
     ResultStore store(path);
-    ProcessShardBackend backend(ProcessShardOptions{2, 2, false});
+    ProcessShardBackend backend(ProcessShardOptions{2, 2});
     EngineOptions opts;
     opts.threads = 1;
     opts.store = &store;
@@ -550,6 +488,63 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     const std::string table = sensitivityTable(res).str();
     EXPECT_NE(table.find("FAULT"), std::string::npos);
 
+    cleanWorkerFiles(path, 2);
+}
+
+TEST(SupervisedSweep, GiveUpKeepsRecordsAndRerunResumes)
+{
+    // No restarts and no quarantine: the first worker death spends
+    // the budget, so the sweep fails as infrastructure (exit 4) with
+    // every finished record kept. The clean rerun must simulate only
+    // the tasks without one, and match the undisturbed reference.
+    reference();
+    const std::string path = tmpPath("giveup.store");
+    cleanWorkerFiles(path, 2);
+    const TaskPlan plan(mechs, benchs, quickConfig());
+    {
+        EnvGuard fault("MICROLIB_FAULT", "crash@6:99");
+        ResultStore store(path);
+        ProcessShardBackend backend(ProcessShardOptions{2, 1});
+        EngineOptions opts;
+        opts.threads = 1;
+        opts.store = &store;
+        opts.backend = &backend;
+        opts.max_worker_retries = 0;
+        opts.quarantine_strikes = 0;
+        opts.worker_backoff_s = 0.01;
+        ExperimentEngine engine(opts);
+        EXPECT_THROW(engine.runPlan(plan), InfrastructureError);
+    }
+
+    // What the failed run kept: the parent store plus the worker
+    // stores it left behind.
+    ResultStore kept;
+    kept.merge(path);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const std::string worker =
+            ProcessShardBackend::shardStorePath(path, i, 2);
+        if (std::ifstream(worker))
+            kept.merge(worker);
+    }
+    std::size_t recorded = 0;
+    for (std::size_t i = 0; i < plan.size(); ++i)
+        if (kept.find(plan.resultKey(i)))
+            ++recorded;
+    EXPECT_FALSE(kept.find(plan.resultKey(6)));
+    EXPECT_GT(recorded, 0u);
+
+    ResultStore store(path);
+    ProcessShardBackend backend(ProcessShardOptions{2, 1});
+    EngineOptions opts;
+    opts.threads = 1;
+    opts.store = &store;
+    opts.backend = &backend;
+    ExperimentEngine engine(opts);
+    const SweepResult res = engine.runPlan(plan);
+    EXPECT_EQ(engine.lastRun().resumed, recorded);
+    EXPECT_EQ(engine.lastRun().executed, plan.size() - recorded);
+    EXPECT_TRUE(engine.lastRun().quarantined.empty());
+    expectIdentical(reference(), res.matrices.front());
     cleanWorkerFiles(path, 2);
 }
 
@@ -588,6 +583,21 @@ TEST(ProgressStreamFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)
     f.reset();
     EXPECT_FALSE(f.lastHeartbeatTask(task));
     EXPECT_EQ(f.pending(), 0u);
+}
+
+TEST(ProgressStreamFollower, ParsesOnlyHeartbeats)
+{
+    std::size_t task = 99;
+    EXPECT_TRUE(ProgressStreamFollower::parseHeartbeat(
+        "{\"event\":\"heartbeat\",\"task\":42,\"bench\":\"swim\"}",
+        task));
+    EXPECT_EQ(task, 42u);
+    EXPECT_FALSE(ProgressStreamFollower::parseHeartbeat(
+        "{\"event\":\"run\",\"task\":42}", task));
+    EXPECT_FALSE(ProgressStreamFollower::parseHeartbeat(
+        "{\"event\":\"heartbeat\",\"bench\":\"swim\"}", task));
+    EXPECT_FALSE(ProgressStreamFollower::parseHeartbeat(
+        "{\"event\":\"heartbeat\",\"task\":", task));
 }
 
 TEST(ProgressStreamFollower, FeedFdReassemblesAPipeStream)

@@ -96,7 +96,7 @@ usage(const char *argv0)
         "  --shards N          worker count for --backend process\n"
         "                      (default 2)\n"
         "  --heartbeat-timeout SEC   stall detection (default off)\n"
-        "  --retries N         worker restarts per shard (default 2)\n"
+        "  --retries N         worker restarts per slot (default 2)\n"
         "  --strikes K         failures before a task quarantines\n"
         "                      (default 3; a faulted probe marks the\n"
         "                      axis FAULTED, other axes continue)\n"
@@ -282,10 +282,10 @@ main(int argc, char **argv)
     opts.quarantine_strikes = args.quarantine_strikes;
 
     ProcessShardBackend process_backend(
-        ProcessShardOptions{args.process_shards, args.threads, false});
+        ProcessShardOptions{args.process_shards, args.threads});
     if (args.use_process_backend) {
         opts.backend = &process_backend;
-        opts.threads = 1; // the parent only forks, waits and merges
+        opts.threads = 1; // the parent only serves leases and merges
     }
 
     ExperimentEngine engine(opts);

@@ -126,21 +126,24 @@ usage(const char *argv0)
         "                      shard hand-off)\n"
         "  --shard I/N         run only tasks with index %% N == I\n"
         "  --backend process|service\n"
-        "                      process: fork shard workers in this\n"
-        "                      invocation; service: submit the sweep\n"
-        "                      to a microlib_sweepd daemon (--service)\n"
-        "                      and fetch the deduplicated results\n"
+        "                      process: fork pull workers under an\n"
+        "                      in-process sweep service; service:\n"
+        "                      submit the sweep to a microlib_sweepd\n"
+        "                      daemon (--service) and fetch the\n"
+        "                      deduplicated results\n"
         "  --service ADDR      sweep daemon address (unix:/path or\n"
         "                      host:port); implies --backend service\n"
         "  --shards N          worker count for --backend process\n"
         "                      (default 2)\n"
         "  --heartbeat-timeout SEC\n"
-        "                      SIGKILL + restart a shard worker whose\n"
-        "                      progress stream is silent for SEC\n"
-        "                      seconds (must exceed the longest task;\n"
-        "                      default 0 = stall detection off)\n"
-        "  --retries N         restarts allowed per shard worker\n"
-        "                      before the sweep fails (default 2)\n"
+        "                      SIGKILL + restart a worker that holds\n"
+        "                      a lease but sends nothing (heartbeats\n"
+        "                      included) for SEC seconds (must exceed\n"
+        "                      the longest task; default 0 = stall\n"
+        "                      detection off)\n"
+        "  --retries N         restarts allowed per worker slot before\n"
+        "                      the sweep fails with exit status 4\n"
+        "                      (default 2)\n"
         "  --strikes K         failures blamed on one task before it\n"
         "                      is quarantined — excluded, its cells\n"
         "                      reported FAULT, exit status 3\n"
@@ -152,7 +155,8 @@ usage(const char *argv0)
         "                      materialized once into DIR and mmap'd\n"
         "                      by every later run, worker and shard\n"
         "                      (default: MICROLIB_TRACE_DIR)\n"
-        "  --progress PATH     JSONL progress stream (per shard:\n"
+        "  --progress PATH     JSONL progress stream (with --backend\n"
+        "                      process, worker i's events go to\n"
         "                      PATH.shard<i>)\n"
         "  --verbose           per-run progress lines\n"
         "\n"
@@ -561,14 +565,14 @@ main(int argc, char **argv)
     opts.quarantine_strikes = args.quarantine_strikes;
 
     ProcessShardBackend process_backend(
-        ProcessShardOptions{args.process_shards, args.threads, false});
+        ProcessShardOptions{args.process_shards, args.threads});
     ServiceBackend service_backend(args.service_addr);
     if (args.use_process_backend) {
         opts.backend = &process_backend;
-        // The parent only forks, waits and merges: a worker pool
+        // The parent only serves leases and merges: a worker pool
         // would sit idle, and fork() from a single-threaded parent
         // sidesteps the multithreaded-fork hazards entirely.
-        // --threads applies to each shard worker instead.
+        // --threads applies to each worker instead.
         opts.threads = 1;
     } else if (args.use_service_backend) {
         opts.backend = &service_backend;
