@@ -12,9 +12,9 @@
  *    default, and the leaf executor every other backend bottoms out
  *    in.
  *  - ProcessShardBackend (process_shard_backend.hh): runs the sweep
- *    service core in process over N forked pull workers, each with
- *    its own append-only store, merged into the parent's as leases
- *    complete.
+ *    service core in process over N forked pull workers; each
+ *    worker sends its finished records over its socket, and the
+ *    service stores them in the parent's store.
  *  - ServiceBackend (service_backend.hh): submits the plan to a
  *    microlib_sweepd daemon and fetches the records.
  *
@@ -76,6 +76,11 @@ struct ExecutionContext
     ExperimentEngine &engine;   ///< trace cache + worker pool owner
     const EngineOptions &opts;  ///< verbose/store/shard/keep_traces
     ProgressWriter *progress;   ///< may be nullptr (disabled)
+    /** A service worker's connection (service/worker.hh): each
+     *  finished record goes there as one `record` line instead of
+     *  into a store, and a line that cannot be delivered fails the
+     *  run. nullptr everywhere else. */
+    ProgressWriter *records = nullptr;
     /** Origin of the progress events' elapsed_s: the run's start, or
      *  a service worker's, so its times keep rising across leases. */
     std::chrono::steady_clock::time_point start =
@@ -95,9 +100,9 @@ class ExecutionBackend
      * Execute every task of @p plan not marked in @p done (resumed
      * slots), writing each result into its pre-assigned slot of its
      * variant's matrix in @p res and persisting it through
-     * ctx.opts.store when attached. @p counters arrives with
-     * `resumed` already set; the backend adds `executed` and
-     * `skipped`. Throws on the first task failure after all
+     * ctx.opts.store when attached (ctx.records in a worker).
+     * @p counters arrives with `resumed` already set; the backend
+     * adds `executed` and `skipped`. Throws on the first task failure after all
      * in-flight work has come home.
      */
     virtual void execute(const TaskPlan &plan,

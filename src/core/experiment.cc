@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/scheduler.hh"
 #include "sim/logging.hh"
 #include "trace/spec_suite.hh"
 #include "trace/trace_cache.hh"
@@ -44,8 +43,8 @@ materializeFor(const std::string &benchmark, const RunConfig &cfg)
 {
     TraceWindow window;
     if (cfg.selection == TraceSelection::SimPoint) {
-        // Mutex-guarded process-wide cache: the old bare map here
-        // raced when runMatrix() workers materialized concurrently.
+        // Mutex-guarded process-wide cache: engine workers
+        // materialize concurrently.
         const SimPointChoice sp = TraceCache::process().simPoint(
             benchmark, cfg.scale.simpoint_interval,
             cfg.scale.simpoint_k);
@@ -154,18 +153,6 @@ MatrixResult::avgSpeedup(std::size_t m,
     for (const std::size_t b : idx)
         sum += speedup(m, b);
     return idx.empty() ? 1.0 : sum / static_cast<double>(idx.size());
-}
-
-MatrixResult
-runMatrix(const std::vector<std::string> &mechanisms,
-          const std::vector<std::string> &benchmarks,
-          const RunConfig &cfg, bool verbose)
-{
-    EngineOptions opts;
-    opts.verbose = verbose;
-    opts.keep_traces = false; // one-shot: the old memory profile
-    ExperimentEngine engine(opts);
-    return engine.run(mechanisms, benchmarks, cfg);
 }
 
 } // namespace microlib

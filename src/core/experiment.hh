@@ -130,26 +130,6 @@ struct MatrixResult
     std::unordered_map<std::string, std::size_t> _bench_index;
 };
 
-/**
- * Run the full matrix: a thin compatibility wrapper that builds a
- * one-shot ExperimentEngine (see core/scheduler.hh), runs every
- * (benchmark, mechanism) pair on its persistent worker pool, and
- * drops each trace once its runs complete. Each trace is still
- * materialized exactly once, and the result is bit-identical for any
- * MICROLIB_THREADS value. Long-lived callers running several
- * matrices should hold an ExperimentEngine instead and reuse its
- * trace cache.
- *
- * @param mechanisms mechanism acronyms; must include "Base" for
- *        speedup computation
- * @param benchmarks benchmark names
- * @param cfg shared run configuration
- * @param verbose print per-run progress
- */
-MatrixResult runMatrix(const std::vector<std::string> &mechanisms,
-                       const std::vector<std::string> &benchmarks,
-                       const RunConfig &cfg, bool verbose = false);
-
 } // namespace microlib
 
 #endif // MICROLIB_CORE_EXPERIMENT_HH

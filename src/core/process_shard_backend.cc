@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 
 #include "core/exit_codes.hh"
@@ -82,19 +81,6 @@ ProcessShardBackend::ProcessShardBackend(ProcessShardOptions opts)
         fatal("ProcessShardOptions::shards must be >= 1");
 }
 
-std::string
-ProcessShardBackend::shardStorePath(const std::string &base,
-                                    std::size_t index,
-                                    std::size_t count)
-{
-    std::string path = base;
-    path += ".shard";
-    path += std::to_string(index);
-    path += "of";
-    path += std::to_string(count);
-    return path;
-}
-
 void
 ProcessShardBackend::execute(const TaskPlan &plan,
                              const std::vector<char> &done,
@@ -104,25 +90,14 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     ResultStore *store = ctx.opts.store;
     if (!store || store->path().empty())
         fatal("ProcessShardBackend needs a file-backed result store "
-              "(EngineOptions::store): workers hand results back "
-              "through their own store files");
+              "(EngineOptions::store): the service stores every "
+              "record there, and a failed sweep resumes from it");
     if (!ctx.opts.shard.whole())
         fatal("ProcessShardBackend schedules the whole plan itself; "
               "combine --shard with the thread-pool backend instead");
     counters.skipped = 0;
 
-    // A killed parent's workers left their stores behind: merge them
-    // first, so their records resume instead of re-running, and start
-    // every worker on an empty file.
     const std::size_t nslots = _opts.shards;
-    std::vector<std::string> stores;
-    for (std::size_t i = 0; i < nslots; ++i) {
-        stores.push_back(shardStorePath(store->path(), i, nslots));
-        if (std::filesystem::exists(stores.back())) {
-            store->merge(stores.back());
-            std::remove(stores.back().c_str());
-        }
-    }
 
     // Fault injection counts "first N encounters" in a state file; one
     // per sweep, so crash@t:1 fires once whichever worker draws t.
@@ -188,7 +163,6 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                 if (!fault_state.empty())
                     setenv("MICROLIB_FAULT_STATE", fault_state.c_str(),
                            1);
-                wopts.store_path = stores[slot];
                 wopts.name = "slot" + std::to_string(slot);
                 int code = exit_failure;
                 try {
@@ -220,7 +194,7 @@ ProcessShardBackend::execute(const TaskPlan &plan,
                     SupervisionVerdict::Action::GiveUp)
                     throw InfrastructureError(
                         "ProcessShardBackend: " + v.verdict.why +
-                        " (worker stores kept for resume)");
+                        " (records kept for resume)");
                 if (!v.gone)
                     continue; // a failed lease: the worker lives on
                 // Dead, or cut for silence while still running.
@@ -253,8 +227,6 @@ ProcessShardBackend::execute(const TaskPlan &plan,
     plan.settle(quarantined, final_done, res, counters.quarantined,
                 "ProcessShardBackend");
 
-    for (const std::string &path : stores)
-        std::remove(path.c_str());
     if (!fault_state.empty())
         std::remove(fault_state.c_str());
 }

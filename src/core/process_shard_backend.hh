@@ -10,9 +10,9 @@
  *    programmatic plans work as well as spec files;
  *  - each worker gets a private socketpair and runs the ordinary
  *    worker loop (service/worker.hh): lease -> execute -> complete,
- *    appending every result to its OWN store
- *    (`shardStorePath(store, i, N)`), which the service merges into
- *    the parent's store as each lease completes;
+ *    sending every finished record over its socket; the service
+ *    stores it in the parent's store on receipt, so no worker writes
+ *    a file of its own;
  *  - supervision is the service's: heartbeats over the socket are
  *    liveness and blame, SweepSupervisor strikes, quarantines and
  *    budgets restarts per worker slot (docs/FAULT_TOLERANCE.md);
@@ -28,17 +28,15 @@
  * the worker count: more workers change the wall clock, never the
  * results.
  *
- * Worker stores left behind by a killed parent are merged (and
- * counted as resumed) before anything runs. Requires a file-backed
- * ResultStore on the engine (fatal otherwise). The static
+ * A killed parent resumes from the records its service stored.
+ * Requires a file-backed ResultStore on the engine (fatal
+ * otherwise). The static
  * `--shard i/N` partition is a separate thing: a plan filter for
  * running shards on separate hosts (docs/SHARDING.md).
  */
 
 #ifndef MICROLIB_CORE_PROCESS_SHARD_BACKEND_HH
 #define MICROLIB_CORE_PROCESS_SHARD_BACKEND_HH
-
-#include <string>
 
 #include "core/execution_backend.hh"
 
@@ -67,12 +65,6 @@ class ProcessShardBackend : public ExecutionBackend
     void execute(const TaskPlan &plan, const std::vector<char> &done,
                  const ExecutionContext &ctx, SweepResult &res,
                  RunCounters &counters) override;
-
-    /** The store path worker @p index of @p count appends to, derived
-     *  from the parent store path @p base. */
-    static std::string shardStorePath(const std::string &base,
-                                      std::size_t index,
-                                      std::size_t count);
 
   private:
     ProcessShardOptions _opts;

@@ -126,11 +126,9 @@ ProgressWriter::write(const ProgressEvent &event)
     writeLine(event.str());
 }
 
-void
+bool
 ProgressWriter::writeLine(const std::string &line)
 {
-    if (!enabled())
-        return;
     std::lock_guard<std::mutex> lock(_mu);
     if (_fd >= 0) {
         // One buffered line per write() so a reader reassembling the
@@ -144,18 +142,20 @@ ProgressWriter::writeLine(const std::string &line)
             if (n < 0) {
                 if (errno == EINTR)
                     continue;
-                // Receiver hung up (daemon died): progress becomes
-                // a no-op; the worker's own protocol I/O reports the
-                // loss of the connection.
+                // Receiver hung up (the service died): every later
+                // line is dropped too.
                 _fd = -1;
-                return;
+                return false;
             }
             off += static_cast<std::size_t>(n);
         }
-        return;
+        return true;
     }
+    if (!_out.is_open())
+        return false;
     _out << line << '\n';
     _out.flush(); // pollers and tail -f see whole lines only
+    return true;
 }
 
 } // namespace microlib

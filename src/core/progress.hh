@@ -102,8 +102,7 @@ class ProgressWriter
     explicit ProgressWriter(const std::string &path);
 
     /** Write lines to @p fd (a connected socket or pipe). The fd is
-     *  borrowed, never closed; a failed write disables the writer
-     *  (the fd's owner learns of the hangup through its own I/O). */
+     *  borrowed, never closed; a failed write disables the writer. */
     explicit ProgressWriter(int fd);
 
     ProgressWriter(const ProgressWriter &) = delete;
@@ -115,8 +114,10 @@ class ProgressWriter
 
     /** Append one raw, already-formatted JSONL line (no newline).
      *  The daemon relays worker progress lines into its own stream
-     *  through this — byte-identical passthrough, no re-encode. */
-    void writeLine(const std::string &line);
+     *  through this — byte-identical passthrough, no re-encode.
+     *  False when the line went nowhere: the writer is disabled, or
+     *  its fd's receiver hung up. */
+    bool writeLine(const std::string &line);
 
   private:
     std::mutex _mu;

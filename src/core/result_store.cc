@@ -484,8 +484,7 @@ ResultStore::compact()
 }
 
 std::size_t
-ResultStore::merge(const std::string &input_path,
-                   std::uint64_t *offset, std::vector<ResultKey> *keys)
+ResultStore::merge(const std::string &input_path)
 {
     if (_mode == Mode::ReadOnly)
         fatal("result store ", _path, ": merge into a read-only store");
@@ -504,29 +503,13 @@ ResultStore::merge(const std::string &input_path,
     }
     std::ifstream in(input_path, std::ios::binary);
     if (!in) {
-        // Incremental merges follow live files, which may not exist
-        // before their writer's first record.
-        if (!offset)
-            warn("result store merge: cannot read ", input_path);
+        warn("result store merge: cannot read ", input_path);
         return 0;
-    }
-    if (offset) {
-        in.seekg(0, std::ios::end);
-        if (static_cast<std::uint64_t>(in.tellg()) < *offset)
-            *offset = 0; // replaced by a shorter file: start over
-        in.seekg(static_cast<std::streamoff>(*offset));
     }
     std::string line;
     std::size_t merged = 0;
     std::size_t skipped = 0;
     while (std::getline(in, line)) {
-        if (offset) {
-            // getline() hit EOF before a newline: the tail is not a
-            // whole record yet. Leave it for the next merge.
-            if (in.eof())
-                break;
-            *offset += line.size() + 1;
-        }
         if (line.empty())
             continue;
         ResultRecord rec;
@@ -534,8 +517,6 @@ ResultStore::merge(const std::string &input_path,
             ++skipped;
             continue;
         }
-        if (keys)
-            keys->push_back(rec.key);
         put(rec);
         ++merged;
     }

@@ -179,19 +179,8 @@ class ResultStore
      * the determinism contract. Returns the number of records read.
      * This is how sharded sweeps combine their per-shard stores; see
      * docs/SHARDING.md.
-     *
-     * Incremental form (@p offset non-null): read only the bytes past
-     * *offset, and advance *offset over the complete lines consumed.
-     * An unterminated tail — a record still being written, or torn
-     * by a dying writer — stays unread until its newline lands, so a
-     * caller merging a live file repeatedly reads every line exactly
-     * once. A file shorter than *offset was replaced: it is read from
-     * the start; a missing file merges nothing, silently. When @p keys
-     * is non-null, the key of every merged record is appended to it.
      */
-    std::size_t merge(const std::string &input_path,
-                      std::uint64_t *offset = nullptr,
-                      std::vector<ResultKey> *keys = nullptr);
+    std::size_t merge(const std::string &input_path);
 
     /**
      * Rewrite the backing file to exactly one record per key — the

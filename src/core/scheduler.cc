@@ -97,8 +97,8 @@ ExperimentEngine::materializeInto(TraceCache &cache,
         if (cfg.selection == TraceSelection::SimPoint) {
             // The process-wide cache, not the engine's: SimPoint
             // choices are pure (benchmark, interval, k) functions and
-            // expensive, so one-shot engines (runMatrix) must not
-            // recompute what an earlier call already profiled.
+            // expensive, so one-shot engines must not recompute what
+            // an earlier engine already profiled.
             const SimPointChoice sp = TraceCache::process().simPoint(
                 benchmark, cfg.scale.simpoint_interval,
                 cfg.scale.simpoint_k);

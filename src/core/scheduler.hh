@@ -69,8 +69,8 @@ struct EngineOptions
     /**
      * Keep traces cached after their runs complete, so later
      * matrices on the same engine reuse them. Disable to drop each
-     * benchmark's trace the moment its last run finishes — the old
-     * runMatrix() memory profile.
+     * benchmark's trace the moment its last run finishes, for
+     * one-shot sweeps that care about peak memory.
      */
     bool keep_traces = true;
 

@@ -4,6 +4,8 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "core/progress.hh"
 #include "core/result_store.hh"
@@ -195,7 +197,21 @@ ThreadPoolBackend::drain(State &st)
             injector.checkpoint(task.index);
 
         RunOutput out = runOne(*trace, mechanism, cfg);
-        if (opts.store) {
+        if (st.ctx.records) {
+            // A service worker: the service stores the record. If it
+            // cannot be sent, nobody is listening anymore, so the
+            // rest of the lease is not worth simulating.
+            const std::string rec = ResultStore::formatRecord(
+                makeRecord(st.plan.resultKey(flat), out));
+            if (!st.ctx.records->writeLine(
+                    ProgressEvent("cmd", "record")
+                        .field("task", task.index)
+                        .field("rec", rec)
+                        .str()))
+                throw std::runtime_error(
+                    "record of task " + std::to_string(task.index) +
+                    " not delivered: service connection lost");
+        } else if (opts.store) {
             // Persist before publishing: a sweep killed after this
             // point resumes past this run. put() flushes, so the
             // record survives even an abrupt exit.

@@ -27,8 +27,9 @@
  * nothing pending is never materialized at all.
  *
  * This is the leaf executor every other backend bottoms out in: a
- * ProcessShardBackend worker is just a fresh engine running this
- * backend over one shard.
+ * sweep service worker (service/worker.hh) runs this backend over
+ * each lease, and its records go over the worker's connection
+ * (ExecutionContext::records) instead of into a store.
  */
 
 #ifndef MICROLIB_CORE_THREAD_POOL_BACKEND_HH

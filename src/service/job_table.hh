@@ -54,7 +54,7 @@ struct ServiceJob
     LeaseQueue queue;
     SweepSupervisor supervisor;
     std::size_t prefilled = 0; ///< tasks deduped from the store
-    std::size_t executed = 0;  ///< records merged from workers
+    std::size_t executed = 0;  ///< records received from workers
     bool completed = false;
 
     ServiceJob(TaskPlan plan, const SupervisionPolicy &policy);

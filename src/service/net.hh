@@ -5,12 +5,10 @@
  * One address syntax everywhere (daemon --listen, worker/client
  * --service):
  *
- *   unix:/path/to/socket    AF_UNIX stream socket (same host — the
- *                           default deployment: daemon + workers
- *                           sharing a filesystem for store merges)
- *   host:port               TCP (workers on other hosts; the store
- *                           paths they advertise must still be
- *                           reachable by the daemon, e.g. shared fs)
+ *   unix:/path/to/socket    AF_UNIX stream socket (same host)
+ *   host:port               TCP (workers on other hosts; records
+ *                           travel over the connection, so no
+ *                           shared filesystem is needed)
  *
  * listenOn()/connectTo() return plain fds — the daemon's poll loop
  * wants raw descriptors, not an abstraction. LineSocket is the

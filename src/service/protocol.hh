@@ -36,6 +36,12 @@
 namespace microlib
 {
 
+/** Version of the worker's side of the conversation, carried in the
+ *  schema tuple (sim/version.hh) so a worker that would talk past
+ *  the daemon is refused at hello. 1: finished records travel over
+ *  the connection as `record` lines. */
+constexpr int wire_version = 1;
+
 /** Whether @p line's first key is @p key ("cmd", "reply", "event")
  *  and, if so, its string value in @p out. */
 bool protocolKind(const std::string &line, const std::string &key,

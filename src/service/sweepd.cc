@@ -203,8 +203,8 @@ SweepService::step(int timeout_ms)
 
     // Stall scan: a worker that holds a lease but has sent no bytes
     // (heartbeats included) for the timeout is wedged; cut it — its
-    // tasks requeue, and whatever it flushed to its store before
-    // going silent is salvaged below.
+    // tasks requeue, and every record it sent before going silent
+    // is kept below.
     if (_opts.heartbeat_timeout > 0) {
         const auto now = Clock::now();
         for (Conn &c : _conns)
@@ -314,6 +314,8 @@ SweepService::handleLine(Conn &c, const std::string &line)
         cmdLease(c);
     else if (kind == "complete")
         cmdComplete(c, line);
+    else if (kind == "record")
+        cmdRecord(c, line);
     else if (kind == "shutdown") {
         send(c, ProgressEvent("reply", "shutdown")
                     .field("ok", std::uint64_t{1})
@@ -496,11 +498,6 @@ SweepService::cmdHello(Conn &c, const std::string &line)
                                                       : schema)));
         return;
     }
-    if (!jsonFindString(line, "store", c.store_path) ||
-        c.store_path.empty()) {
-        send(c, errReply("hello", "missing store path"));
-        return;
-    }
     jsonFindString(line, "name", c.name);
     if (c.name.empty())
         c.name = ownerKey(c);
@@ -555,13 +552,31 @@ SweepService::cmdLease(Conn &c)
 }
 
 void
-SweepService::absorbWorkerStore(Conn &c)
+SweepService::cmdRecord(Conn &c, const std::string &line)
 {
-    if (c.store_path.empty())
-        return;
-    std::vector<ResultKey> keys;
-    _store->merge(c.store_path, &_merged[c.store_path], &keys);
-    _jobs.absorb(keys);
+    // Outside input: stored only if it parses (checksum and
+    // terminator), its task is leased to this connection, and it is
+    // that task's record. No reply, whatever happens: the worker is
+    // mid-lease, and a refused record's task stays unrecorded, so
+    // complete requeues it with a strike.
+    const auto refuse = [&](const char *what) {
+        warn("sweep service: worker ", c.name, ": refused ", what);
+    };
+    std::uint64_t task = 0;
+    std::string text;
+    ResultRecord rec;
+    if (!jsonFindU64(line, "task", task) ||
+        !jsonFindString(line, "rec", text) ||
+        !ResultStore::parseRecord(text, rec))
+        return refuse("an unreadable record");
+    ServiceJob *job = _jobs.find(c.job_id);
+    const std::string *holder = job ? job->queue.ownerOf(task) : nullptr;
+    if (!c.is_worker || !holder || *holder != ownerKey(c))
+        return refuse("a record for a task it does not hold");
+    if (!(rec.key == job->plan.resultKey(task)))
+        return refuse("a record whose key is not its task's");
+    _store->put(rec);
+    c.received.push_back(rec.key);
 }
 
 void
@@ -613,7 +628,8 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
     std::uint64_t ok = 1;
     jsonFindU64(line, "ok", ok);
 
-    absorbWorkerStore(c);
+    _jobs.absorb(c.received);
+    c.received.clear();
 
     // Whatever the worker reported but did not record failed on its
     // watch: requeue for another worker, and charge a strike to the
@@ -647,15 +663,16 @@ SweepService::cmdComplete(Conn &c, const std::string &line)
 void
 SweepService::workerFailed(Conn &c)
 {
+    // Salvage first: every record the worker sent before dying
+    // completes its task — only the genuinely unfinished requeue.
+    _jobs.absorb(c.received);
+    c.received.clear();
     ServiceJob *job = _jobs.find(c.job_id);
     if (!job) {
         if (c.adopted)
             _slot_verdicts.push_back({c.id, true, {}});
         return;
     }
-    // Salvage first: every record the worker flushed before dying
-    // completes its task — only the genuinely unfinished requeue.
-    absorbWorkerStore(c);
     const std::vector<std::size_t> requeued =
         job->queue.release(ownerKey(c));
     WorkerFailure f;

@@ -20,13 +20,18 @@
  *    (no bytes for heartbeat_timeout while holding a lease) or
  *    completes a lease without producing a task's record.
  *
- * Single-threaded on purpose: every transition — lease, merge,
+ * Workers send each finished record as a `record` line over their
+ * connection; the daemon checks it (it parses, its task is leased to
+ * that connection, its key is that task's) and stores it on receipt,
+ * so it is the only writer of the store.
+ *
+ * Single-threaded on purpose: every transition — lease, record,
  * requeue, quarantine, eviction — is serialized by the loop, so the
  * daemon needs no locks and its state can never tear. Simulation
- * happens in workers; the daemon only moves lines and merges store
- * files, so one thread is plenty for the target scale (tens of
- * workers). Blocking replies to slow clients are accepted for the
- * same reason (documented in docs/SWEEP_SERVICE.md).
+ * happens in workers; the daemon only moves and stores lines, so one
+ * thread is plenty for the target scale (tens of workers). Blocking
+ * replies to slow clients are accepted for the same reason
+ * (documented in docs/SWEEP_SERVICE.md).
  *
  * The class is embeddable (tests run it on a thread and stop it with
  * requestStop()); tools/microlib_sweepd/main.cc is the thin CLI
@@ -49,7 +54,6 @@
 #include <chrono>
 #include <cstddef>
 #include <list>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,8 +100,8 @@ class SweepService
   public:
     explicit SweepService(SweepServiceOptions opts);
 
-    /** Embedded service: no listening socket and no start(); merges
-     *  worker records into the caller's @p store and writes its own
+    /** Embedded service: no listening socket and no start(); stores
+     *  worker records in the caller's @p store and writes its own
      *  events to @p progress (nullptr = none). */
     SweepService(const SupervisionPolicy &policy, std::size_t lease_size,
                  ResultStore &store, ProgressWriter *progress);
@@ -167,9 +171,11 @@ class SweepService
         bool adopted = false;          ///< embedded slot worker
         ProgressWriter *relay = nullptr; ///< where its events go
         std::string name;              ///< worker display name
-        std::string store_path;        ///< worker's store (hello)
         std::string job_id;            ///< job of the current lease
         std::size_t lease_count = 0;   ///< tasks currently held
+        /** Keys of records stored since the jobs last absorbed this
+         *  connection's records (at complete, or when it dies). */
+        std::vector<ResultKey> received;
         std::chrono::steady_clock::time_point last_activity;
         bool dead = false;             ///< reap after this loop turn
         bool cut = false;              ///< dead for heartbeat silence
@@ -186,13 +192,10 @@ class SweepService
     void cmdHello(Conn &c, const std::string &line);
     void cmdLease(Conn &c);
     void cmdComplete(Conn &c, const std::string &line);
+    void cmdRecord(Conn &c, const std::string &line);
 
-    /** Merge the part of @p c's store not merged yet; every job
-     *  absorbs the records it plans. */
-    void absorbWorkerStore(Conn &c);
-
-    /** A dead worker held a lease (or was adopted): merge what it
-     *  flushed, requeue the rest, strike the blamed task. */
+    /** A dead worker held a lease (or was adopted): keep what it
+     *  sent, requeue the rest, strike the blamed task. */
     void workerFailed(Conn &c);
 
     /** Rule on @p f under @p job's strike policy: log, execute a
@@ -216,9 +219,6 @@ class SweepService
     ProgressWriter *_progress = nullptr;
     JobTable _jobs;
     std::list<Conn> _conns;
-    /** Bytes of each worker store (by path) already merged: a store
-     *  is read once, however many leases its worker completes. */
-    std::map<std::string, std::uint64_t> _merged;
     std::vector<SlotVerdict> _slot_verdicts;
     std::string _embedded_job; ///< submit(plan)'s job id
     int _listen_fd = -1;

@@ -9,7 +9,6 @@
 
 #include "core/exit_codes.hh"
 #include "core/progress.hh"
-#include "core/result_store.hh"
 #include "core/scheduler.hh"
 #include "core/task_plan.hh"
 #include "core/thread_pool_backend.hh"
@@ -66,24 +65,11 @@ runWorker(int fd, const WorkerOptions &wopts, const TaskPlan *inherited)
 
     const std::string name =
         wopts.name.empty() ? defaultName() : wopts.name;
-    std::string store_path = wopts.store_path;
-    if (store_path.empty())
-        store_path = "microlib_worker_" +
-                     std::to_string(::getpid()) + ".store";
-    // The daemon merges this file by path, so it must mean the same
-    // file over there: absolutize against our cwd.
-    if (!store_path.empty() && store_path[0] != '/') {
-        char cwd[4096];
-        if (::getcwd(cwd, sizeof(cwd)))
-            store_path = std::string(cwd) + "/" + store_path;
-    }
-
     std::string reply;
     if (!exchange(sock,
                   ProgressEvent("cmd", "hello")
                       .field("name", name)
                       .field("schema", schemaTuple())
-                      .field("store", store_path)
                       .str(),
                   reply)) {
         // An embedded service may finish the sweep before a restarted
@@ -101,27 +87,22 @@ runWorker(int fd, const WorkerOptions &wopts, const TaskPlan *inherited)
     }
 
     // One engine across every lease: traces stay materialized, the
-    // thread pool stays warm. The store is this worker's private
-    // append-only file; the daemon merges it, never writes it.
-    ResultStore store(store_path);
+    // thread pool stays warm. No store: the daemon stores records.
     EngineOptions opts;
     opts.threads = wopts.threads;
     opts.verbose = wopts.verbose;
     opts.keep_traces = true;
     opts.trace_dir = wopts.trace_dir;
     opts.trace_budget_bytes = wopts.trace_budget_bytes;
-    opts.store = &store;
     ExperimentEngine engine(opts);
-    // Progress sinks to the daemon socket: the same JSONL events a
-    // file stream would carry, heartbeats included — the daemon's
-    // liveness and blame evidence.
-    ProgressWriter progress(sock.fd());
-    const ExecutionContext ctx{engine, opts, &progress};
+    // Progress events (heartbeats included: the daemon's liveness
+    // and blame evidence) and finished records share the socket.
+    ProgressWriter conn(sock.fd());
+    const ExecutionContext ctx{engine, opts, &conn, &conn};
 
     std::map<std::string, std::unique_ptr<TaskPlan>> plans;
     if (!inherited)
-        inform("worker ", name, ": attached to ", wopts.service,
-               " (store ", store_path, ")");
+        inform("worker ", name, ": attached to ", wopts.service);
 
     for (;;) {
         if (!exchange(sock, ProgressEvent("cmd", "lease").str(),
@@ -164,17 +145,13 @@ runWorker(int fd, const WorkerOptions &wopts, const TaskPlan *inherited)
         const TaskPlan &plan = inherited ? *inherited : *plan_it->second;
 
         // Execute exactly the leased tasks: everything else is
-        // "done" as far as this lease is concerned. Records this
-        // worker already holds (a requeued task it ran before a
-        // crash elsewhere) resume from its own store instead of
-        // re-simulating.
+        // "done" as far as this lease is concerned.
         SweepResult res = plan.emptyResult();
         std::vector<char> done(plan.size(), 1);
         for (const std::size_t t : tasks)
             if (t < done.size())
                 done[t] = 0;
         RunCounters counters;
-        counters.resumed = plan.prefill(store, res, done);
 
         ProgressEvent complete("cmd", "complete");
         complete.field("job", job_id).field("tasks", tasks);

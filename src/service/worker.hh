@@ -8,16 +8,18 @@
  * lease is a handful of plan-order task indices of one job; the
  * worker rebuilds the job's TaskPlan from the canonical spec text in
  * the lease reply (the TaskPlan determinism contract makes its
- * indices mean exactly what the daemon's do), executes the leased
- * tasks with the ordinary ThreadPoolBackend, and appends every
- * result to its OWN store file — the daemon merges that file on
- * completion (and on the worker's death: whatever was flushed is
- * salvaged).
+ * indices mean exactly what the daemon's do) and executes the
+ * leased tasks with the ordinary ThreadPoolBackend.
  *
- * While executing, the worker's ProgressWriter streams the standard
- * JSONL events over the daemon socket itself (the fd sink): the
- * daemon relays them into its progress file and uses the heartbeats
- * as blame evidence. One ExperimentEngine lives across all leases, so
+ * The worker keeps no store. While executing, one ProgressWriter
+ * over the daemon socket carries both the standard JSONL events
+ * (relayed into the daemon's progress file, heartbeats kept as blame
+ * evidence) and one `record` line per finished task, which the
+ * daemon checks and stores the moment it arrives — so a worker that
+ * dies mid-lease loses only its unfinished tasks, and a worker on
+ * another host needs no shared filesystem. A record that cannot be
+ * sent fails the lease: the worker stops simulating for a daemon
+ * that is gone. One ExperimentEngine lives across all leases, so
  * traces (and the shared trace arena, if MICROLIB_TRACE_DIR is set)
  * stay warm from lease to lease.
  */
@@ -37,7 +39,6 @@ class TaskPlan;
 struct WorkerOptions
 {
     std::string service;    ///< daemon address (required)
-    std::string store_path; ///< own store; "" = derived from pid
     std::string name;       ///< display name; "" = host:pid
     unsigned threads = 0;   ///< simulation threads (0 = default)
     bool verbose = false;
@@ -50,7 +51,8 @@ struct WorkerOptions
  * Run the worker loop until the daemon hangs up. Returns a process
  * exit code: exit_ok on a clean daemon shutdown, exit_infrastructure
  * when the daemon is unreachable, rejects the hello (schema
- * mismatch), or vanishes mid-lease.
+ * mismatch), or vanishes mid-lease (at the latest at the next
+ * finished task, whose record cannot be sent).
  */
 int runWorkerLoop(const WorkerOptions &opts);
 

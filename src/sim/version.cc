@@ -4,6 +4,7 @@
 
 #include "core/result_store.hh"
 #include "core/sweep_spec.hh"
+#include "service/protocol.hh"
 #include "trace/trace_arena.hh"
 
 namespace microlib
@@ -25,7 +26,8 @@ schemaTuple()
     std::ostringstream os;
     os << "store=" << result_store_schema
        << ";arena=" << TraceArena::schema_version
-       << ";sweephash=" << sweep_hash_version;
+       << ";sweephash=" << sweep_hash_version
+       << ";wire=" << wire_version;
     return os.str();
 }
 

@@ -12,11 +12,12 @@
  *    as their schema tuple matches.
  *
  *  - schemaTuple(): the *compatibility* identity — the result-store
- *    record schema, the trace-arena file schema, and the sweep-hash
- *    algorithm version, joined into one canonical string. Any
- *    mismatch means the processes would disagree about what a
- *    persisted byte means, so microlib_sweepd refuses workers whose
- *    tuple differs from its own (docs/SWEEP_SERVICE.md).
+ *    record schema, the trace-arena file schema, the sweep-hash
+ *    algorithm version and the worker wire version, joined into one
+ *    canonical string. Any mismatch means the processes would
+ *    disagree about what a persisted byte or a protocol line means,
+ *    so microlib_sweepd refuses workers whose tuple differs from its
+ *    own (docs/SWEEP_SERVICE.md).
  *
  * All three CLI tools print versionString() for --version, so a
  * client/daemon/worker skew is diagnosable by eye: compare the lines.
@@ -36,8 +37,8 @@ const char *gitDescribe();
 
 /** The canonical on-disk/protocol compatibility tuple:
  *  "store=<result_store_schema>;arena=<TraceArena::schema_version>;"
- *  "sweephash=<sweep_hash_version>". Byte-compared by the daemon
- *  when a worker attaches. */
+ *  "sweephash=<sweep_hash_version>;wire=<wire_version>".
+ *  Byte-compared by the daemon when a worker attaches. */
 std::string schemaTuple();
 
 /** The full one-line --version output for @p tool:

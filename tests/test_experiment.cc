@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "core/experiment.hh"
+#include "core/scheduler.hh"
 #include "core/selections.hh"
 #include "trace/spec_suite.hh"
 
@@ -53,7 +54,8 @@ TEST(Experiment, MatrixShape)
     const RunConfig cfg = quickConfig();
     const std::vector<std::string> mechs = {"Base", "TP"};
     const std::vector<std::string> benchs = {"crafty", "swim"};
-    const MatrixResult res = runMatrix(mechs, benchs, cfg);
+    ExperimentEngine engine;
+    const MatrixResult res = engine.run(mechs, benchs, cfg);
     ASSERT_EQ(res.ipc.size(), 2u);
     ASSERT_EQ(res.ipc[0].size(), 2u);
     for (const auto &row : res.ipc)
@@ -66,8 +68,8 @@ TEST(Experiment, MatrixShape)
 TEST(Experiment, SpeedupAlgebra)
 {
     const RunConfig cfg = quickConfig();
-    const MatrixResult res =
-        runMatrix({"Base", "SP"}, {"swim"}, cfg);
+    ExperimentEngine engine;
+    const MatrixResult res = engine.run({"Base", "SP"}, {"swim"}, cfg);
     const std::size_t base = res.mechIndex("Base");
     const std::size_t sp = res.mechIndex("SP");
     EXPECT_DOUBLE_EQ(res.speedup(base, 0), 1.0);
@@ -83,11 +85,13 @@ TEST(Experiment, MatrixParallelismInvariant)
     // independent and slots are pre-assigned).
     const RunConfig cfg = quickConfig();
     setenv("MICROLIB_THREADS", "1", 1);
+    ExperimentEngine serial_engine;
     const MatrixResult serial =
-        runMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        serial_engine.run({"Base", "TP", "SP"}, {"gzip"}, cfg);
     setenv("MICROLIB_THREADS", "2", 1);
+    ExperimentEngine parallel_engine;
     const MatrixResult parallel =
-        runMatrix({"Base", "TP", "SP"}, {"gzip"}, cfg);
+        parallel_engine.run({"Base", "TP", "SP"}, {"gzip"}, cfg);
     unsetenv("MICROLIB_THREADS");
     for (std::size_t m = 0; m < serial.ipc.size(); ++m) {
         EXPECT_EQ(serial.ipc[m][0], parallel.ipc[m][0]);
@@ -99,8 +103,9 @@ TEST(Experiment, MatrixParallelismInvariant)
 TEST(Experiment, IndexLookups)
 {
     const RunConfig cfg = quickConfig();
+    ExperimentEngine engine;
     const MatrixResult res =
-        runMatrix({"Base", "TP"}, {"crafty", "swim"}, cfg);
+        engine.run({"Base", "TP"}, {"crafty", "swim"}, cfg);
     // Engine-produced matrices carry prebuilt indices.
     EXPECT_EQ(res.mechIndex("Base"), 0u);
     EXPECT_EQ(res.mechIndex("TP"), 1u);

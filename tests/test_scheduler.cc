@@ -108,11 +108,13 @@ TEST(Scheduler, RunMatrixHonorsThreadsEnv)
 {
     const RunConfig cfg = quickConfig();
     setenv("MICROLIB_THREADS", "1", 1);
+    ExperimentEngine serial_engine;
     const MatrixResult serial =
-        runMatrix({"Base", "GHB"}, {"swim", "mcf"}, cfg);
+        serial_engine.run({"Base", "GHB"}, {"swim", "mcf"}, cfg);
     setenv("MICROLIB_THREADS", "8", 1);
+    ExperimentEngine parallel_engine;
     const MatrixResult parallel =
-        runMatrix({"Base", "GHB"}, {"swim", "mcf"}, cfg);
+        parallel_engine.run({"Base", "GHB"}, {"swim", "mcf"}, cfg);
     unsetenv("MICROLIB_THREADS");
     expectIdentical(serial, parallel);
 }

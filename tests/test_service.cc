@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -15,6 +19,7 @@
 
 #include "core/exit_codes.hh"
 #include "core/lease.hh"
+#include "core/process_shard_backend.hh"
 #include "core/progress.hh"
 #include "core/result_store.hh"
 #include "core/scheduler.hh"
@@ -237,6 +242,7 @@ TEST(Version, SchemaTupleNamesEveryPersistedFormat)
     EXPECT_NE(tuple.find("store="), std::string::npos);
     EXPECT_NE(tuple.find("arena="), std::string::npos);
     EXPECT_NE(tuple.find("sweephash="), std::string::npos);
+    EXPECT_NE(tuple.find("wire="), std::string::npos);
     const std::string v = versionString("microlib_sweep");
     EXPECT_EQ(v.compare(0, 15, "microlib_sweep "), 0);
     EXPECT_NE(v.find(tuple), std::string::npos);
@@ -383,7 +389,6 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
             ProgressEvent("cmd", "hello")
                 .field("name", std::string("fake"))
                 .field("schema", schemaTuple())
-                .field("store", tmpPath("absent.store"))
                 .str());
         std::uint64_t ok = 0;
         ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
@@ -398,13 +403,9 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
         fake.disconnect();
     }
 
-    // Two real workers, each with its own store, pulling leases.
+    // Two real workers pulling leases.
     WorkerOptions w0, w1;
     w0.service = w1.service = fix.service->address();
-    w0.store_path = tmpPath("e2e_w0.store");
-    w1.store_path = tmpPath("e2e_w1.store");
-    std::remove(w0.store_path.c_str());
-    std::remove(w1.store_path.c_str());
     w0.name = "w0";
     w1.name = "w1";
     w0.idle_poll_s = w1.idle_poll_s = 0.02;
@@ -464,10 +465,9 @@ TEST(SweepService, ByteIdenticalResultsDedupAndWorkerDeath)
 
 TEST(SweepService, StoreHoldsOneLinePerRecordAfterManyLeases)
 {
-    // Four one-task leases to one worker: each completion must merge
-    // only what the worker appended since the last one, so the
-    // daemon's store ends with exactly one line per record, not the
-    // 1 + 2 + 3 + 4 lines of re-merging the whole worker store.
+    // Four one-task leases to one worker: the daemon stores each
+    // record once, as it arrives, so its store ends with exactly one
+    // line per record.
     const SweepSpec spec = parseSpec();
     const TaskPlan plan(spec);
     ServiceFixture fix("lines", /*lease_size=*/1);
@@ -475,8 +475,6 @@ TEST(SweepService, StoreHoldsOneLinePerRecordAfterManyLeases)
 
     WorkerOptions w;
     w.service = fix.service->address();
-    w.store_path = tmpPath("lines_w.store");
-    std::remove(w.store_path.c_str());
     w.idle_poll_s = 0.02;
     int rc = -1;
     std::thread t([&] { rc = runWorkerLoop(w); });
@@ -520,7 +518,6 @@ TEST(SweepService, StrikesQuarantineAPoisonTask)
         fake.exchange(ProgressEvent("cmd", "hello")
                           .field("name", std::string("poisoned"))
                           .field("schema", schemaTuple())
-                          .field("store", tmpPath("absent2.store"))
                           .str());
         const std::string reply =
             fake.exchange(ProgressEvent("cmd", "lease").str());
@@ -536,8 +533,6 @@ TEST(SweepService, StrikesQuarantineAPoisonTask)
 
     WorkerOptions w;
     w.service = fix.service->address();
-    w.store_path = tmpPath("quar_w.store");
-    std::remove(w.store_path.c_str());
     w.idle_poll_s = 0.02;
     int rc = -1;
     std::thread t([&] { rc = runWorkerLoop(w); });
@@ -588,7 +583,6 @@ TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)
         ProgressEvent("cmd", "hello")
             .field("name", std::string("old"))
             .field("schema", std::string("store=0;arena=0;sweephash=0"))
-            .field("store", tmpPath("old.store"))
             .str());
     std::uint64_t ok = 1;
     ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
@@ -631,13 +625,226 @@ TEST(SweepService, HelloRefusesSchemaMismatchAndReadOnlyRefusals)
     reply = client.exchange(ProgressEvent("cmd", "hello")
                                 .field("name", std::string("w"))
                                 .field("schema", schemaTuple())
-                                .field("store", tmpPath("w.store"))
                                 .str());
     ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
     EXPECT_EQ(ok, 0u);
 
     service.requestStop();
     loop.join();
+}
+
+TEST(SweepService, HelloNeedsNoStorePath)
+{
+    // Records travel over the connection: a worker advertises no
+    // store of its own.
+    ServiceFixture fix("nostore");
+    ASSERT_TRUE(fix.service);
+    RawClient worker(fix.service->address());
+    const std::string reply = worker.exchange(
+        ProgressEvent("cmd", "hello")
+            .field("name", std::string("w"))
+            .field("schema", schemaTuple())
+            .str());
+    std::uint64_t ok = 0;
+    ASSERT_TRUE(jsonFindU64(reply, "ok", ok));
+    EXPECT_EQ(ok, 1u);
+}
+
+/** A `record` line for @p task carrying a (zero-valued) record under
+ *  @p key; @p corrupt edits its body after the checksum was taken. */
+std::string
+recordLine(std::size_t task, const ResultKey &key, bool corrupt = false)
+{
+    ResultRecord rec;
+    rec.key = key;
+    std::string text = ResultStore::formatRecord(rec);
+    if (corrupt)
+        text.replace(text.find(" instr=0"), 8, " instr=1");
+    return ProgressEvent("cmd", "record")
+        .field("task", std::uint64_t(task))
+        .field("rec", text)
+        .str();
+}
+
+std::size_t
+countLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        ++n;
+    return n;
+}
+
+TEST(SweepService, RefusesRecordsItCannotTrust)
+{
+    const SweepSpec spec = parseSpec();
+    const TaskPlan plan(spec);
+    ServiceFixture fix("untrusted", /*lease_size=*/1);
+    ASSERT_TRUE(fix.service);
+    RawClient client(fix.service->address());
+    client.exchange(ProgressEvent("cmd", "submit")
+                        .field("spec", spec.canonicalText())
+                        .str());
+
+    RawClient fake(fix.service->address());
+    fake.exchange(ProgressEvent("cmd", "hello")
+                      .field("name", std::string("forger"))
+                      .field("schema", schemaTuple())
+                      .str());
+    const auto lease = [&] {
+        std::vector<std::size_t> tasks;
+        EXPECT_TRUE(jsonFindArray(
+            fake.exchange(ProgressEvent("cmd", "lease").str()), "tasks",
+            tasks));
+        return tasks;
+    };
+    const auto complete = [&] {
+        fake.exchange(ProgressEvent("cmd", "complete")
+                          .field("job", jobIdOf(spec))
+                          .field("tasks", std::vector<std::size_t>{0})
+                          .str());
+    };
+    const auto executed = [&] {
+        std::uint64_t n = 0;
+        EXPECT_TRUE(jsonFindU64(
+            client.exchange(ProgressEvent("cmd", "status")
+                                .field("job", jobIdOf(spec))
+                                .str()),
+            "executed", n));
+        return n;
+    };
+    ASSERT_EQ(lease(), (std::vector<std::size_t>{0}));
+
+    // A task the worker does not hold, another task's record, and a
+    // record whose checksum no longer matches: none is stored, and
+    // task 0 stays unrecorded, so complete requeues it.
+    fake.sendRaw(recordLine(1, plan.resultKey(1)));
+    fake.sendRaw(recordLine(0, plan.resultKey(1)));
+    fake.sendRaw(recordLine(0, plan.resultKey(0), /*corrupt=*/true));
+    complete();
+    EXPECT_EQ(countLines(fix.opts.store_path), 0u);
+    EXPECT_EQ(executed(), 0u);
+
+    // The requeued task leases again, and its own record is taken.
+    ASSERT_EQ(lease(), (std::vector<std::size_t>{0}));
+    fake.sendRaw(recordLine(0, plan.resultKey(0)));
+    complete();
+    EXPECT_EQ(countLines(fix.opts.store_path), 1u);
+    EXPECT_EQ(executed(), 1u);
+}
+
+TEST(SweepService, OrphanedWorkerStopsAtItsNextRecord)
+{
+    // A fake service hands a forked-style worker one six-task lease
+    // and hangs up after the first record. The worker must give the
+    // lease up at its next record instead of simulating the rest for
+    // nobody: with one thread, the lease's third benchmark (crafty)
+    // is never reached, so its trace never lands in the arena.
+    const TaskPlan plan(parseSpec("sweep-spec v1\n"
+                                  "bench swim gzip crafty\n"
+                                  "mech Base TP\n"
+                                  "base window.trace_length=100000\n"
+                                  "base window.interval=100000\n"));
+    const std::string arena = tmpPath("orphan_arena");
+    std::filesystem::remove_all(arena);
+
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    WorkerOptions w;
+    w.threads = 1;
+    w.trace_dir = arena;
+    int rc = -1;
+    std::thread worker([&] { rc = runWorker(sv[1], w, &plan); });
+
+    {
+        LineSocket service(sv[0]);
+        std::string line;
+        EXPECT_TRUE(service.recvLine(line)); // hello
+        EXPECT_TRUE(service.sendLine(ProgressEvent("reply", "hello")
+                                         .field("ok", std::uint64_t{1})
+                                         .str()));
+        EXPECT_TRUE(service.recvLine(line)); // lease
+        EXPECT_TRUE(service.sendLine(
+            ProgressEvent("reply", "lease")
+                .field("ok", std::uint64_t{1})
+                .field("job", std::string("j"))
+                .field("tasks",
+                       std::vector<std::size_t>{0, 1, 2, 3, 4, 5})
+                .str()));
+        std::string kind;
+        while (service.recvLine(line) &&
+               !(protocolKind(line, "cmd", kind) && kind == "record")) {
+        }
+    } // the service end closes here
+    worker.join();
+    EXPECT_EQ(rc, exit_infrastructure);
+
+    std::size_t traces = 0;
+    for (const auto &e : std::filesystem::directory_iterator(arena))
+        traces += e.path().extension() == ".mltrace";
+    EXPECT_GE(traces, 1u);
+    EXPECT_LT(traces, plan.benchmarks().size());
+    std::filesystem::remove_all(arena);
+}
+
+TEST(SweepService, EmbeddedSalvageIsPerRecord)
+{
+    // 16 tasks over two forked workers: leases of two tasks, handed
+    // out in plan order, so task 5 is the second task of its lease.
+    // The worker that draws it dies there once; task 4's record,
+    // sent before the crash, must be kept, so no task runs twice.
+    const TaskPlan plan(parseSpec("sweep-spec v1\n"
+                                  "bench swim gzip\n"
+                                  "mech Base TP\n"
+                                  "base window.trace_length=100000\n"
+                                  "base window.interval=100000\n"
+                                  "axis hier.l2.size 256k 512k 1M 2M\n"));
+    ASSERT_EQ(plan.size(), 16u);
+    const std::string path = tmpPath("salvage.store");
+    const std::string progress = tmpPath("salvage.jsonl");
+    std::remove(path.c_str());
+    std::remove((path + ".faultstate").c_str());
+
+    {
+        // Unset again even if the sweep throws: an armed crash clause
+        // must never reach an in-process run of a later test.
+        struct FaultGuard
+        {
+            FaultGuard() { setenv("MICROLIB_FAULT", "crash@5:1", 1); }
+            ~FaultGuard() { unsetenv("MICROLIB_FAULT"); }
+        } fault;
+        ResultStore store(path);
+        ProcessShardBackend backend(ProcessShardOptions{2, 1});
+        EngineOptions opts;
+        opts.threads = 1;
+        opts.store = &store;
+        opts.backend = &backend;
+        opts.progress_path = progress;
+        opts.worker_backoff_s = 0.01;
+        ExperimentEngine engine(opts);
+        engine.runPlan(plan);
+        EXPECT_EQ(engine.lastRun().executed, plan.size());
+        EXPECT_TRUE(engine.lastRun().quarantined.empty());
+    }
+
+    {
+        // The one death.
+        std::ifstream in(progress);
+        std::size_t died = 0;
+        for (std::string line; std::getline(in, line);)
+            died += line.find("\"state\":\"died\"") != std::string::npos;
+        EXPECT_EQ(died, 1u);
+    }
+    std::size_t runs = 0;
+    for (const std::size_t i : {0u, 1u}) {
+        const std::string p = progress + ".shard" + std::to_string(i);
+        runs += countEvents(p, "run");
+        std::remove(p.c_str());
+    }
+    EXPECT_EQ(runs, plan.size());
+    std::remove(path.c_str());
+    std::remove(progress.c_str());
 }
 
 } // namespace

@@ -294,57 +294,3 @@ TEST(Shard, KilledShardResumesOnlyMissingTasks)
     std::remove(full_path.c_str());
     std::remove(half_path.c_str());
 }
-
-TEST(Shard, ProcessBackendResumesKilledWorkerStore)
-{
-    const RunConfig cfg = quickConfig();
-    const TaskPlan plan(mechs, benchs, cfg);
-    const std::size_t total = plan.size();
-    const std::size_t nshards = 2;
-
-    const std::string path = tmpPath("procresume.store");
-    std::remove(path.c_str());
-
-    // Pre-seed shard 0's worker store with half of its records, as
-    // a killed worker would have left it (kept because the previous
-    // parent run failed before merging).
-    const std::string seed_path = tmpPath("procresume_seed.store");
-    std::remove(seed_path.c_str());
-    std::size_t shard0_tasks = 0;
-    {
-        ResultStore seed(seed_path);
-        EngineOptions opts;
-        opts.threads = 2;
-        opts.store = &seed;
-        opts.shard = ShardSpec{0, nshards};
-        ExperimentEngine engine(opts);
-        engine.run(mechs, benchs, cfg);
-        shard0_tasks = engine.lastRun().executed;
-    }
-    const std::string worker_path =
-        ProcessShardBackend::shardStorePath(path, 0, nshards);
-    std::remove(worker_path.c_str());
-    truncateStoreFile(seed_path, worker_path, shard0_tasks / 2);
-
-    ResultStore store(path);
-    ProcessShardOptions popts;
-    popts.shards = nshards;
-    ProcessShardBackend backend(popts);
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.store = &store;
-    opts.backend = &backend;
-    ExperimentEngine engine(opts);
-    engine.run(mechs, benchs, cfg);
-
-    // Everything landed, and the accounting is truthful: the
-    // pre-seeded records were resumed inside the restarted worker,
-    // only the missing tasks were simulated.
-    EXPECT_EQ(store.size(), total);
-    EXPECT_EQ(engine.lastRun().resumed, shard0_tasks / 2);
-    EXPECT_EQ(engine.lastRun().executed, total - shard0_tasks / 2);
-    EXPECT_EQ(engine.lastRun().skipped, 0u);
-
-    std::remove(seed_path.c_str());
-    std::remove(path.c_str());
-}

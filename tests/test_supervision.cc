@@ -63,16 +63,13 @@ struct EnvGuard
     const char *_name;
 };
 
-/** Remove the derived files a supervised run creates (and a failed
- *  earlier test may have left behind). */
+/** Remove the files a supervised run creates (and a failed earlier
+ *  test may have left behind). */
 void
-cleanWorkerFiles(const std::string &store, std::size_t nshards)
+cleanWorkerFiles(const std::string &store)
 {
     std::remove(store.c_str());
     std::remove((store + ".faultstate").c_str());
-    for (std::size_t i = 0; i < nshards; ++i)
-        std::remove(ProcessShardBackend::shardStorePath(store, i, nshards)
-                        .c_str());
 }
 
 /** Bit-identity over everything the store persists. */
@@ -395,7 +392,7 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
     for (const unsigned threads : {1u, 4u, 8u}) {
         const std::string path = tmpPath(
             "crash_t" + std::to_string(threads) + ".store");
-        cleanWorkerFiles(path, 2);
+        cleanWorkerFiles(path);
 
         ResultStore store(path);
         ProcessShardBackend backend(
@@ -413,7 +410,7 @@ TEST(SupervisedSweep, CrashRecoveryIsBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(counts.executed + counts.resumed,
                   mechs.size() * benchs.size());
         expectIdentical(reference(), res.matrices.front());
-        cleanWorkerFiles(path, 2);
+        cleanWorkerFiles(path);
     }
 }
 
@@ -426,7 +423,7 @@ TEST(SupervisedSweep, HangIsDetectedKilledAndRecovered)
     reference();
     EnvGuard fault("MICROLIB_FAULT", "hang@4:1");
     const std::string path = tmpPath("hang.store");
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
 
     ResultStore store(path);
     ProcessShardBackend backend(ProcessShardOptions{2, 2});
@@ -441,7 +438,7 @@ TEST(SupervisedSweep, HangIsDetectedKilledAndRecovered)
     const SweepResult res = supervisedRun(engine);
     EXPECT_TRUE(engine.lastRun().quarantined.empty());
     expectIdentical(reference(), res.matrices.front());
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
 }
 
 TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
@@ -453,7 +450,7 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     reference();
     EnvGuard fault("MICROLIB_FAULT", "crash@5:99");
     const std::string path = tmpPath("poison.store");
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
 
     ResultStore store(path);
     ProcessShardBackend backend(ProcessShardOptions{2, 2});
@@ -488,7 +485,7 @@ TEST(SupervisedSweep, PoisonTaskIsQuarantinedAndSweepCompletes)
     const std::string table = sensitivityTable(res).str();
     EXPECT_NE(table.find("FAULT"), std::string::npos);
 
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
 }
 
 TEST(SupervisedSweep, GiveUpKeepsRecordsAndRerunResumes)
@@ -499,7 +496,7 @@ TEST(SupervisedSweep, GiveUpKeepsRecordsAndRerunResumes)
     // the tasks without one, and match the undisturbed reference.
     reference();
     const std::string path = tmpPath("giveup.store");
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
     const TaskPlan plan(mechs, benchs, quickConfig());
     {
         EnvGuard fault("MICROLIB_FAULT", "crash@6:99");
@@ -516,16 +513,10 @@ TEST(SupervisedSweep, GiveUpKeepsRecordsAndRerunResumes)
         EXPECT_THROW(engine.runPlan(plan), InfrastructureError);
     }
 
-    // What the failed run kept: the parent store plus the worker
-    // stores it left behind.
+    // What the failed run kept: every record its service received,
+    // all in the parent store.
     ResultStore kept;
     kept.merge(path);
-    for (std::size_t i = 0; i < 2; ++i) {
-        const std::string worker =
-            ProcessShardBackend::shardStorePath(path, i, 2);
-        if (std::ifstream(worker))
-            kept.merge(worker);
-    }
     std::size_t recorded = 0;
     for (std::size_t i = 0; i < plan.size(); ++i)
         if (kept.find(plan.resultKey(i)))
@@ -545,7 +536,7 @@ TEST(SupervisedSweep, GiveUpKeepsRecordsAndRerunResumes)
     EXPECT_EQ(engine.lastRun().executed, plan.size() - recorded);
     EXPECT_TRUE(engine.lastRun().quarantined.empty());
     expectIdentical(reference(), res.matrices.front());
-    cleanWorkerFiles(path, 2);
+    cleanWorkerFiles(path);
 }
 
 TEST(ProgressStreamFollower, SurfacesOnlyCompleteLinesAcrossTornFeeds)

@@ -295,10 +295,6 @@ TEST(SweepSpec, TwoVariantShardDeterminism)
     // invocation merge back bit-identically too.
     const std::string forked_path = tmpPath("forked.store");
     std::remove(forked_path.c_str());
-    for (std::size_t i = 0; i < 2; ++i)
-        std::remove(ProcessShardBackend::shardStorePath(forked_path,
-                                                        i, 2)
-                        .c_str());
     {
         ResultStore store(forked_path);
         ProcessShardOptions popts;

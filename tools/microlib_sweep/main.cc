@@ -123,7 +123,9 @@ usage(const char *argv0)
         "\n"
         "Execution:\n"
         "  --store PATH        append-only result store (resume +\n"
-        "                      shard hand-off)\n"
+        "                      shard hand-off); the only file any\n"
+        "                      backend writes results to (not with\n"
+        "                      --worker: the daemon stores them)\n"
         "  --shard I/N         run only tasks with index %% N == I\n"
         "  --backend process|service\n"
         "                      process: fork pull workers under an\n"
@@ -163,7 +165,7 @@ usage(const char *argv0)
         "Modes:\n"
         "  --worker ADDR       be a pull-based worker for the sweep\n"
         "                      daemon at ADDR: lease tasks, execute\n"
-        "                      them, append to --store (own file!),\n"
+        "                      them, send the records to the daemon,\n"
         "                      until the daemon shuts down; honors\n"
         "                      --threads/--trace-dir/--trace-budget-mb\n"
         "                      /--verbose; --name sets the display\n"
@@ -481,9 +483,13 @@ main(int argc, char **argv)
     if (!args.worker_addr.empty()) {
         // Worker mode: no spec of our own — the daemon hands us
         // canonical spec text with every lease.
+        if (!args.store_path.empty()) {
+            std::fprintf(stderr, "--worker takes no --store: the "
+                                 "daemon stores the records\n");
+            return exit_usage;
+        }
         WorkerOptions wopts;
         wopts.service = args.worker_addr;
-        wopts.store_path = args.store_path;
         wopts.name = args.worker_name;
         wopts.threads = args.threads;
         wopts.verbose = args.verbose;

@@ -12,7 +12,7 @@
  *
  *   microlib_sweepd --listen unix:/tmp/sweepd.sock \
  *       --store global.store --progress sweepd.progress &
- *   microlib_sweep --worker unix:/tmp/sweepd.sock --store w0.store &
+ *   microlib_sweep --worker unix:/tmp/sweepd.sock &
  *   microlib_sweep --spec exp.sweep --backend service \
  *       --service unix:/tmp/sweepd.sock --report exp.txt
  *
@@ -54,7 +54,8 @@ usage(const char *argv0)
         "  --listen ADDR       unix:/path or host:port (host:0 picks\n"
         "                      a free port and prints it)\n"
         "  --store PATH        global append-only result store; every\n"
-        "                      submitted sweep dedups against it\n"
+        "                      submitted sweep dedups against it, and\n"
+        "                      workers' records are stored in it\n"
         "  --progress PATH     daemon JSONL stream: job lifecycle,\n"
         "                      lease grants, relayed worker events\n"
         "  --lease N           tasks per worker lease (default 4)\n"
