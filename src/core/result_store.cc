@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/fingerprint.hh"
@@ -419,11 +422,28 @@ ResultStore::put(const ResultRecord &rec)
     std::lock_guard<std::mutex> lock(_mu);
     if (!_path.empty()) {
         ensureAppend();
-        const std::string line = formatRecord(rec) + '\n';
-        std::fwrite(line.data(), 1, line.size(), _append);
-        std::fflush(_append); // a killed sweep keeps this run
-        if (_fsync)
-            ::fsync(fileno(_append)); // ...and so does a killed host
+        // After a failed append the file may end in a torn line:
+        // start on a fresh one, so only that line is unreadable.
+        std::string line = _torn ? "\n" : "";
+        line += formatRecord(rec);
+        line += '\n';
+        const bool ok =
+            std::fwrite(line.data(), 1, line.size(), _append) ==
+                line.size() &&
+            std::fflush(_append) == 0 && // a killed sweep keeps this run
+            (!_fsync || ::fsync(fileno(_append)) == 0); // ...and a host
+        if (!ok) {
+            const int err = errno;
+            // Drop whatever the stream still buffers; the next put()
+            // reopens it.
+            std::fclose(_append);
+            _append = nullptr;
+            _torn = true;
+            throw std::runtime_error("result store " + _path +
+                                     ": append failed: " +
+                                     std::strerror(err));
+        }
+        _torn = false;
     }
     _records[rec.key.str()] = rec;
 }

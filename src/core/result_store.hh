@@ -166,7 +166,10 @@ class ResultStore
     /** Insert @p rec (and append it to the backing file, flushed).
      *  A duplicate key overwrites in memory — by the determinism
      *  contract both records hold identical values, and merge-by-
-     *  concatenation needs last-wins semantics, not an error. */
+     *  concatenation needs last-wins semantics, not an error.
+     *  Throws std::runtime_error, leaving the record out of the
+     *  store, when the append fails (a full disk, a file-size
+     *  limit): a record is stored only once it is on file. */
     void put(const ResultRecord &rec);
 
     std::size_t size() const;
@@ -226,6 +229,7 @@ class ResultStore
     mutable std::mutex _mu;
     std::FILE *_append = nullptr; ///< append stream (FILE*: fsync needs a fd)
     bool _fsync = false;          ///< MICROLIB_STORE_FSYNC=1
+    bool _torn = false;           ///< last append failed mid-line?
     std::size_t _unreadable = 0;
     std::unordered_map<std::string, ResultRecord> _records;
 };

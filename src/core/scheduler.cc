@@ -1,6 +1,9 @@
 #include "core/scheduler.hh"
 
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <stdexcept>
 
 #include "core/progress.hh"
 #include "core/result_store.hh"
@@ -137,6 +140,71 @@ ExperimentEngine::trace(const std::string &benchmark,
     if (_cache.claim(key, fut) == TraceCache::Claim::Owner)
         return materializeInto(_cache, key, benchmark, cfg);
     return fut.get();
+}
+
+PrewarmCounts
+ExperimentEngine::prewarm(const TaskPlan &plan)
+{
+    if (!_cache.arena())
+        throw std::invalid_argument(
+            "prewarm needs a trace arena (trace_dir or "
+            "MICROLIB_TRACE_DIR)");
+    // One representative task per trace slot (slots deduplicate
+    // benchmark x window across mechanisms and variants).
+    std::vector<std::size_t> rep(plan.traceSlotCount(), plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        std::size_t &r = rep[plan.traceSlot(i)];
+        if (r == plan.size())
+            r = i;
+    }
+
+    std::mutex mu;
+    std::size_t next = 0;
+    PrewarmCounts counts;
+    std::exception_ptr error;
+    const auto drain = [&] {
+        for (;;) {
+            std::size_t slot = 0;
+            {
+                std::unique_lock<std::mutex> lock(mu);
+                if (error || next == rep.size())
+                    return; // done, or a sibling failed
+                slot = next++;
+            }
+            const PlanTask &t = plan.task(rep[slot]);
+            const std::string &key = plan.slotKey(slot);
+            TraceCache::Future fut;
+            if (_cache.claim(key, fut) != TraceCache::Claim::Owner)
+                continue; // this engine already holds the window
+            TraceOrigin origin = TraceOrigin::Generated;
+            materializeInto(_cache, key, plan.benchmarks()[t.b],
+                            plan.config(t.v), &origin);
+            // Release at once: prewarm only needs the file on disk,
+            // not a resident copy of every window.
+            _cache.evict(key);
+            std::unique_lock<std::mutex> lock(mu);
+            ++(origin == TraceOrigin::Mapped ? counts.present
+                                             : counts.generated);
+        }
+    };
+    // Failures are captured, never thrown across the pool: every
+    // worker must come home before the locals above leave scope.
+    const auto guarded = [&] {
+        try {
+            drain();
+        } catch (...) {
+            std::unique_lock<std::mutex> lock(mu);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
+    for (unsigned t = 0; t < _pool.size(); ++t)
+        _pool.submit(guarded);
+    guarded(); // the calling thread is worker zero
+    _pool.wait();
+    if (error)
+        std::rethrow_exception(error);
+    return counts;
 }
 
 SweepResult

@@ -158,6 +158,13 @@ enum class TraceOrigin
     Mapped,    ///< mmap'd straight out of the trace arena
 };
 
+/** What one ExperimentEngine::prewarm() found per trace window. */
+struct PrewarmCounts
+{
+    std::size_t generated = 0; ///< generated here and published
+    std::size_t present = 0;   ///< already in the arena
+};
+
 /** Matrix-wide experiment driver over plan + backend. */
 class ExperimentEngine
 {
@@ -190,6 +197,20 @@ class ExperimentEngine
     /** Run an already-built @p plan (shared by callers that also
      *  print or shard it). Same contract as run(). */
     SweepResult runPlan(const TaskPlan &plan);
+
+    /**
+     * Materialize every unique trace window of @p plan into the trace
+     * arena, simulating nothing: one generation pass that a later
+     * fleet of shards, hosts or reruns starts warm from (zero
+     * src=gen). Takes one representative task per trace slot and runs
+     * claim, materializeInto and evict for it, so no window stays
+     * resident. The slots run over the engine's threads (the calling
+     * thread is worker zero); each window is a pure function of its
+     * key, so the arena's files are the same for any thread count.
+     * Throws std::invalid_argument without an arena, and otherwise
+     * rethrows the first slot's failure once every worker returns.
+     */
+    PrewarmCounts prewarm(const TaskPlan &plan);
 
     /**
      * The cached trace for (@p benchmark, @p cfg), materializing it

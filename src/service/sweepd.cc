@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "core/exit_codes.hh"
 #include "service/net.hh"
@@ -575,7 +576,15 @@ SweepService::cmdRecord(Conn &c, const std::string &line)
         return refuse("a record for a task it does not hold");
     if (!(rec.key == job->plan.resultKey(task)))
         return refuse("a record whose key is not its task's");
-    _store->put(rec);
+    try {
+        _store->put(rec);
+    } catch (const std::exception &e) {
+        // Not on file, so not done: the task stays unrecorded and
+        // complete requeues it, while the loop serves on.
+        warn("sweep service: worker ", c.name, ": record of task ",
+             task, " not stored: ", e.what());
+        return;
+    }
     c.received.push_back(rec.key);
 }
 

@@ -14,12 +14,6 @@ Rng::splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-Rng::rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t x = seed;
@@ -27,48 +21,9 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(x);
 }
 
-std::uint64_t
-Rng::next()
+Geometric::Geometric(double mean)
+    : _always_one(mean <= 1.0), _denom(std::log1p(-(1.0 / mean)))
 {
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    // Lemire-style rejection-free multiply-shift; the tiny modulo bias
-    // is irrelevant for workload synthesis.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::nextGeometric(double mean)
-{
-    if (mean <= 1.0)
-        return 1;
-    const double p = 1.0 / mean;
-    double u = nextDouble();
-    // Inverse CDF of a geometric distribution with support {1, 2, ...}.
-    std::uint64_t v = static_cast<std::uint64_t>(
-        std::ceil(std::log1p(-u) / std::log1p(-p)));
-    return v == 0 ? 1 : v;
 }
 
 } // namespace microlib

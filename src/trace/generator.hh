@@ -113,6 +113,10 @@ class SpecGenerator
   private:
     const SpecProgram _prog;
     Rng _rng;
+    /** Dependence distances (mean dep_mean) and compute instructions
+     *  per block (mean (1 - mem_ratio) / mem_ratio). */
+    Geometric _dep_distance;
+    Geometric _block_compute;
     std::unique_ptr<MemoryImage> _image;
     std::vector<std::unique_ptr<PatternKernel>> _kernels;
 

@@ -245,8 +245,7 @@ PointerChaseKernel::next(MemoryImage &img, Rng &rng)
         _heads[_turn] = nodeAddr(0); // corrupted by a payload write:
                                      // restart
     _payload_node = _heads[_turn];
-    _payload_left = static_cast<unsigned>(
-        rng.nextGeometric(_p.payload_touches + 0.01) - 1);
+    _payload_left = static_cast<unsigned>(_payload_draw(rng) - 1);
     _turn = (_turn + 1) % static_cast<unsigned>(_heads.size());
     return ref;
 }

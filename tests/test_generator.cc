@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "trace/generator.hh"
 #include "trace/spec_suite.hh"
 #include "trace/window.hh"
@@ -208,4 +213,82 @@ TEST(Generator, SerialChaseLoadsDependOnPriorLoad)
     }
     EXPECT_GT(loads, 0);
     EXPECT_GT(static_cast<double>(serial) / loads, 0.8);
+}
+
+namespace
+{
+
+/** FNV-1a over the first @p n records of @p name's stream, each
+ *  record packed field by field (no struct padding in the hash). */
+std::uint64_t
+streamDigest(const std::string &name, std::size_t n)
+{
+    SpecGenerator gen(specProgram(name));
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= static_cast<std::uint8_t>(v >> (8 * i));
+            h *= 0x100000001b3ull;
+        }
+    };
+    TraceRecord r;
+    for (std::size_t i = 0; i < n; ++i) {
+        gen.next(r);
+        mix(r.pc, 4);
+        mix(r.addr, 4);
+        mix(r.value, 8);
+        mix(r.bb, 2);
+        mix(static_cast<std::uint8_t>(r.op), 1);
+        mix(r.dep1, 1);
+        mix(r.dep2, 1);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(GeneratorGolden, FirstMillionRecordsOfEveryBenchmark)
+{
+    // Pinned digests of every workload's record stream: a change to
+    // the generator, its kernels or the Rng that moves any record
+    // (and with it every SimPoint, window and IPC) fails here.
+    const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+        {"ammp", 0x11bafe5dab2f9b0dull},
+        {"applu", 0x72991aa3239dddf4ull},
+        {"apsi", 0xcc5c6912d151caacull},
+        {"art", 0x54b396c3b63b9dc7ull},
+        {"equake", 0xc3ccbebff6bfc68eull},
+        {"facerec", 0x6f28bb81398ad396ull},
+        {"fma3d", 0x01705d9789071805ull},
+        {"galgel", 0x0a99d74b5210c5a8ull},
+        {"lucas", 0x6bfa6f84d8e4dc59ull},
+        {"mesa", 0xcb9019571332d340ull},
+        {"mgrid", 0x1d88b5f260fa413bull},
+        {"sixtrack", 0x6a8136aa001f18b1ull},
+        {"swim", 0xffc8707a77210e00ull},
+        {"wupwise", 0x2e5e3305c3524852ull},
+        {"bzip2", 0x93e30ca9c541f176ull},
+        {"crafty", 0x50efd44b1ecf01dbull},
+        {"eon", 0xb3e5695ccb45c7bfull},
+        {"gap", 0x8c4747c5a6f5eacbull},
+        {"gcc", 0x6e0f81ed010c94daull},
+        {"gzip", 0x0c2712d55b3341a7ull},
+        {"mcf", 0xf4279d84777c4820ull},
+        {"parser", 0xa8aaa739a310ff11ull},
+        {"perlbmk", 0x56c8c2946784bc7cull},
+        {"twolf", 0x155c0bdbc294c441ull},
+        {"vortex", 0x42b010a0f7986128ull},
+        {"vpr", 0x34779c3be02c777full},
+        {"pchase", 0x1dc04f5900060eb7ull},
+    };
+    std::vector<std::string> names = specBenchmarkNames();
+    for (const std::string &extra : extraBenchmarkNames())
+        names.push_back(extra);
+    ASSERT_EQ(golden.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(golden[i].first, names[i]);
+        const std::uint64_t got = streamDigest(names[i], 1'000'000);
+        EXPECT_EQ(golden[i].second, got)
+            << names[i] << ": 0x" << std::hex << got;
+    }
 }

@@ -55,16 +55,18 @@ TEST(Random, GeometricMeanApproximately)
     const double target = 5.0;
     double sum = 0.0;
     const int n = 20000;
+    const Geometric draw(target);
     for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.nextGeometric(target));
+        sum += static_cast<double>(draw(rng));
     EXPECT_NEAR(sum / n, target, 0.5);
 }
 
 TEST(Random, GeometricNeverZero)
 {
     Rng rng(13);
+    const Geometric draw(1.5);
     for (int i = 0; i < 10000; ++i)
-        EXPECT_GE(rng.nextGeometric(1.5), 1u);
+        EXPECT_GE(draw(rng), 1u);
 }
 
 class RandomChanceTest : public ::testing::TestWithParam<double>

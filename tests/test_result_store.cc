@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -209,6 +214,70 @@ TEST(ResultStore, PersistsAcrossReopen)
     ResultKey stale = rec.key;
     stale.config_hash ^= 1;
     EXPECT_FALSE(store.find(stale).has_value());
+    std::remove(path.c_str());
+}
+
+TEST(ResultStore, FailedAppendThrowsAndStoresNothing)
+{
+    const std::string path = tmpPath("fsize.store");
+    std::remove(path.c_str());
+    ResultRecord first = sampleRecord();
+    {
+        ResultStore store(path);
+        store.put(first);
+    }
+    const auto size = static_cast<rlim_t>(std::ifstream(
+        path, std::ios::ate | std::ios::binary).tellg());
+
+    // The file-size limit binds only the process that sets it: set it
+    // in a child, which reports each check through its exit code.
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::signal(SIGXFSZ, SIG_IGN); // fail with EFBIG, do not die
+        rlimit lim{};
+        getrlimit(RLIMIT_FSIZE, &lim);
+        const rlim_t hard = lim.rlim_max;
+        lim.rlim_cur = size + 16; // room for a torn fragment only
+        if (setrlimit(RLIMIT_FSIZE, &lim) != 0)
+            _exit(10);
+        ResultStore store(path);
+        ResultRecord second = sampleRecord();
+        second.key.trace_seed = 43;
+        bool threw = false;
+        try {
+            store.put(second);
+        } catch (const std::runtime_error &) {
+            threw = true;
+        }
+        if (!threw)
+            _exit(11);
+        if (store.size() != 1 || store.find(second.key))
+            _exit(12); // a failed put must not count as stored
+        // Lift the limit: the next put lands on a line of its own,
+        // so only the torn fragment is unreadable on reload.
+        lim.rlim_cur = hard;
+        if (setrlimit(RLIMIT_FSIZE, &lim) != 0)
+            _exit(13);
+        ResultRecord third = sampleRecord();
+        third.key.trace_seed = 44;
+        try {
+            store.put(third);
+        } catch (const std::exception &) {
+            _exit(14);
+        }
+        ResultStore reopened(path);
+        if (reopened.size() != 2 || !reopened.find(first.key) ||
+            !reopened.find(third.key) || reopened.find(second.key) ||
+            reopened.unreadable() != 1)
+            _exit(15);
+        _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "child check failed (see the _exit codes above)";
     std::remove(path.c_str());
 }
 

@@ -11,6 +11,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -470,4 +473,81 @@ TEST(TraceArena, TwoShardProcessBackendSharesOneArena)
 
     std::remove(store_path.c_str());
     std::remove(progress.c_str());
+}
+
+TEST(TraceArena, PrewarmIsThreadCountIndependentAndIdempotent)
+{
+    // SimPoint windows: prewarm's real job is BBV profiling plus the
+    // skip. Benchmarks whose default-scale SimPoint starts early keep
+    // the skip short.
+    RunConfig cfg;
+    cfg.scale = TraceScale{};
+    cfg.scale.simpoint_trace = 20'000;
+    const std::vector<std::string> three = {"swim", "ammp", "gcc"};
+    const TaskPlan plan(mechs, three, cfg);
+
+    // Four threads first, so the three profiles run side by side; the
+    // one-thread pass reuses their (process-wide) SimPoint choices.
+    std::map<unsigned, std::string> dirs;
+    for (const unsigned threads : {4u, 1u}) {
+        dirs[threads] = freshDir("prewarm" + std::to_string(threads));
+        EngineOptions opts;
+        opts.threads = threads;
+        opts.trace_dir = dirs[threads];
+        ExperimentEngine engine(opts);
+        const PrewarmCounts counts = engine.prewarm(plan);
+        EXPECT_EQ(counts.generated, three.size()) << threads;
+        EXPECT_EQ(counts.present, 0u) << threads;
+        EXPECT_EQ(engine.cache().traceCount(), 0u) << "nothing stays resident";
+    }
+
+    // Same file names, byte-identical contents.
+    const auto files = [](const std::string &dir) {
+        std::map<std::string, std::string> out;
+        for (const auto &e : std::filesystem::directory_iterator(dir)) {
+            std::ifstream in(e.path(), std::ios::binary);
+            out[e.path().filename().string()] = std::string(
+                std::istreambuf_iterator<char>(in), {});
+        }
+        return out;
+    };
+    const auto threaded = files(dirs[4]);
+    EXPECT_EQ(threaded.size(), three.size());
+    EXPECT_TRUE(threaded == files(dirs[1]));
+
+    // A second prewarm finds every window in place.
+    {
+        EngineOptions opts;
+        opts.threads = 4;
+        opts.trace_dir = dirs[4];
+        ExperimentEngine engine(opts);
+        const PrewarmCounts again = engine.prewarm(plan);
+        EXPECT_EQ(again.generated, 0u);
+        EXPECT_EQ(again.present, three.size());
+    }
+
+    // A sweep over the threaded arena maps every window.
+    const std::string progress = tmpPath("prewarmed.jsonl");
+    {
+        EngineOptions opts;
+        opts.threads = 2;
+        opts.trace_dir = dirs[4];
+        opts.progress_path = progress;
+        ExperimentEngine engine(opts);
+        engine.runPlan(plan);
+    }
+    EXPECT_EQ(countLines(progress, "\"src\":\"gen\""), 0u);
+    EXPECT_EQ(countLines(progress, "\"src\":\"arena\""), three.size());
+    std::remove(progress.c_str());
+}
+
+TEST(TraceArena, PrewarmWithoutArenaThrows)
+{
+    EngineOptions opts;
+    opts.threads = 1;
+    ExperimentEngine engine(opts);
+    if (engine.cache().arena())
+        GTEST_SKIP() << "MICROLIB_TRACE_DIR names an arena";
+    EXPECT_THROW(engine.prewarm(TaskPlan(mechs, benchs, arbConfig())),
+                 std::invalid_argument);
 }

@@ -175,9 +175,10 @@ usage(const char *argv0)
         "  --plan              print the fingerprinted task list and\n"
         "                      exit (no simulation)\n"
         "  --prewarm-traces    materialize every trace window of the\n"
-        "                      plan into the arena (--trace-dir) and\n"
-        "                      exit without simulating — run once so\n"
-        "                      a later fleet of shards starts warm\n"
+        "                      plan into the arena (--trace-dir) over\n"
+        "                      --threads and exit without simulating\n"
+        "                      — run once so a later fleet of shards\n"
+        "                      starts warm\n"
         "  --print-spec        print the canonical spec text (stdout)\n"
         "                      and its hash (stderr), then exit\n"
         "  --merge STORE...    merge the given store files into\n"
@@ -544,8 +545,13 @@ main(int argc, char **argv)
 
     if (!args.merge_inputs.empty()) {
         std::size_t merged = 0;
-        for (const auto &input : args.merge_inputs)
-            merged += store->merge(input);
+        try {
+            for (const auto &input : args.merge_inputs)
+                merged += store->merge(input);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "merge failed: %s\n", e.what());
+            return exit_failure;
+        }
         std::printf("merged %zu record(s) from %zu store(s) into %s "
                     "(%zu total)\n",
                     merged, args.merge_inputs.size(),
@@ -573,7 +579,10 @@ main(int argc, char **argv)
     ProcessShardBackend process_backend(
         ProcessShardOptions{args.process_shards, args.threads});
     ServiceBackend service_backend(args.service_addr);
-    if (args.use_process_backend) {
+    if (args.prewarm_traces) {
+        // Prewarm simulates nothing: it runs here, over --threads,
+        // whatever backend a sweep of this spec would use.
+    } else if (args.use_process_backend) {
         opts.backend = &process_backend;
         // The parent only serves leases and merges: a worker pool
         // would sit idle, and fork() from a single-threaded parent
@@ -590,50 +599,23 @@ main(int argc, char **argv)
     ExperimentEngine engine(opts);
 
     if (args.prewarm_traces) {
-        // Materialize every unique trace window of the plan into the
-        // arena and stop: one generation pass a later fleet of
-        // shards, hosts or reruns starts warm from (zero src=gen).
         const auto arena = engine.cache().arena();
         if (!arena) {
             std::fprintf(stderr, "--prewarm-traces needs --trace-dir "
                                  "(or MICROLIB_TRACE_DIR)\n");
             return 2;
         }
-        // One representative task per trace slot (slots deduplicate
-        // benchmark x window across mechanisms and variants).
-        std::vector<std::size_t> rep(plan.traceSlotCount(),
-                                     plan.size());
-        for (std::size_t i = 0; i < plan.size(); ++i) {
-            const std::size_t slot = plan.traceSlot(i);
-            if (rep[slot] == plan.size())
-                rep[slot] = i;
-        }
-        std::size_t generated = 0, present = 0;
-        for (std::size_t slot = 0; slot < rep.size(); ++slot) {
-            const PlanTask &t = plan.task(rep[slot]);
-            const std::string &key = plan.slotKey(slot);
-            TraceCache::Future fut;
-            if (engine.cache().claim(key, fut) !=
-                TraceCache::Claim::Owner)
-                continue; // duplicate key within this process
-            TraceOrigin origin = TraceOrigin::Generated;
-            try {
-                ExperimentEngine::materializeInto(
-                    engine.cache(), key, plan.benchmarks()[t.b],
-                    plan.config(t.v), &origin);
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "prewarm failed: %s\n",
-                             e.what());
-                return 1;
-            }
-            ++(origin == TraceOrigin::Mapped ? present : generated);
-            // Release immediately: prewarm only needs the file on
-            // disk, not a resident copy of every window at once.
-            engine.cache().evict(key);
+        PrewarmCounts counts;
+        try {
+            counts = engine.prewarm(plan);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "prewarm failed: %s\n", e.what());
+            return 1;
         }
         std::printf("prewarm %s: %zu window(s) generated, %zu "
                     "already present\n",
-                    arena->dir().c_str(), generated, present);
+                    arena->dir().c_str(), counts.generated,
+                    counts.present);
         return 0;
     }
 
